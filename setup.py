@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The project is fully described by ``pyproject.toml``; this file exists so that
-editable installs (``pip install -e .``) work in offline environments whose
-pip falls back to the legacy ``setup.py develop`` code path when the ``wheel``
-package is unavailable.
+The project is fully described by ``pyproject.toml``.  This file exists for
+offline environments without the ``wheel`` package, where pip's editable
+build fails on setuptools < 70: there ``python setup.py develop --no-deps``
+reads the same ``pyproject.toml`` metadata and installs the ``abe-repro``
+command.
 """
 
 from setuptools import setup

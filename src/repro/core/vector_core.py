@@ -553,7 +553,7 @@ class VectorRingElection:
                     status[dst] = _LEADER
                     status_col[dst] = _LEADER
                     active_count -= 1
-                    self.leader_uid = dst
+                    self.leader_uid = int(dst)
                     self.election_time = when
                     self.leaders_elected += 1
                     break

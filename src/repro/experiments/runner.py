@@ -36,6 +36,7 @@ from repro.experiments.resilience import (
     run_trial,
 )
 from repro.sim.rng import derive_seed
+from repro.stats.confidence import relative_half_width
 
 __all__ = [
     "AdaptiveStopping",
@@ -161,8 +162,6 @@ def adaptive_monte_carlo(
     the stopping decision depends only on the (identical) per-seed results,
     a resumed adaptive run converges at the same trial with the same output.
     """
-    from repro.stats.confidence import relative_half_width  # scipy: import late
-
     adaptive = adaptive.resolved("messages_total")
     max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials
     if max_trials < 1:

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 __all__ = [
     "Topology",
@@ -101,6 +102,8 @@ class Topology:
 
     def is_strongly_connected(self) -> bool:
         """Whether every node can reach every other node along directed edges."""
+        import networkx as nx  # late: keeps networkx off the start-up path
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(self.edges)
@@ -108,6 +111,8 @@ class Topology:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` (for analysis/plotting)."""
+        import networkx as nx  # late: keeps networkx off the start-up path
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(self.edges)
@@ -233,6 +238,8 @@ def random_connected(n: int, edge_probability: float, seed: int) -> Topology:
         raise ValueError(f"a random graph needs n >= 2, got {n}")
     if not (0.0 <= edge_probability <= 1.0):
         raise ValueError("edge_probability must be in [0, 1]")
+    import networkx as nx  # late: keeps networkx off the start-up path
+
     graph = None
     for attempt in range(50):
         candidate = nx.gnp_random_graph(n, edge_probability, seed=seed + attempt)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.stats.estimators import mean, standard_error
 
 __all__ = ["ConfidenceInterval", "confidence_interval", "relative_half_width"]
@@ -63,8 +61,12 @@ def confidence_interval(
             confidence=confidence,
             count=1,
         )
+    # ``stdtrit(df, q)`` is the quantile ``scipy.stats.t.ppf(q, df)`` returns,
+    # bit for bit, without importing all of scipy.stats (~1 s against ~0.3 s).
+    from scipy.special import stdtrit  # late: keeps scipy off the start-up path
+
     sem = standard_error(samples)
-    t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=len(samples) - 1))
+    t_value = float(stdtrit(len(samples) - 1, 0.5 + confidence / 2.0))
     half = t_value * sem
     return ConfidenceInterval(
         estimate=estimate,

@@ -28,6 +28,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.parallel import SweepPool
+from repro.experiments.resilience import TrialFailure, active_policy
+# Scenario runs and keys are looked up on their modules at call time, so a
+# tracer that wraps ``runtime.run_scenario`` or ``fingerprint.*`` sees them.
+from repro.scenarios import runtime as _runtime
+from repro.scenarios.spec import ScenarioSpec, StudySpec
 from repro.store import fingerprint as _fingerprint
 from repro.store.result_store import ResultStore
 
@@ -45,8 +51,6 @@ def study_from_spec(spec: Any) -> Any:
     one-point battery named after its label (or algorithm), which keeps one
     submission path and one export shape.
     """
-    from repro.scenarios.spec import ScenarioSpec, StudySpec
-
     if isinstance(spec, StudySpec):
         return spec
     if isinstance(spec, ScenarioSpec):
@@ -63,8 +67,6 @@ def _point_summary(results: Sequence[Any]) -> Dict[str, Any]:
     the (bit-identical) trial results, so re-served runs export byte-equal
     summaries.
     """
-    from repro.experiments.resilience import TrialFailure
-
     flat: List[Any] = []
     for result in results:
         if isinstance(result, list):  # one-shot batteries return row lists
@@ -241,8 +243,6 @@ class StudyService:
         self.close()
 
     def _shared_pool(self) -> Any:
-        from repro.experiments.parallel import SweepPool  # late: heavy import
-
         if self._pool is None:
             self._pool = SweepPool(self.workers)
         return self._pool
@@ -291,8 +291,6 @@ class StudyService:
 
     def run_pending(self) -> List[JobReport]:
         """Execute every queued job in submission order; returns the reports."""
-        from repro.experiments.resilience import active_policy
-
         reports: List[JobReport] = []
         queue, self._queue = self._queue, []
         with active_policy(self.policy):
@@ -347,11 +345,9 @@ class StudyService:
     def _run_point(
         self, job_id: str, index: int, total: int, point: Any, pool: Any, rule: Any
     ) -> PointReport:
-        from repro.scenarios.runtime import run_scenario
-
         hits_before, misses_before = self.store.hits, self.store.misses
         started = time.perf_counter()
-        results = run_scenario(point, pool=pool, adaptive=rule, checkpoint=self.store)
+        results = _runtime.run_scenario(point, pool=pool, adaptive=rule, checkpoint=self.store)
         elapsed = time.perf_counter() - started
         hits = self.store.hits - hits_before
         misses = self.store.misses - misses_before

@@ -34,7 +34,9 @@ from repro.experiments.resilience import CheckpointJournal
 from repro.experiments.runner import monte_carlo, trial_seeds
 from repro.experiments.workloads import ElectionTrial
 from repro.network.delays import ExponentialDelay
-from repro.scenarios import ScenarioSpec, run_scenario
+from repro.core.vector_core import run_vector_election
+from repro.scenarios import ALGORITHMS, ScenarioSpec, run_scenario
+from repro.scenarios.runtime import compile_trial
 from repro.store import (
     JsonlResultStore,
     ResultStore,
@@ -43,7 +45,8 @@ from repro.store import (
     spec_fingerprint,
     study_fingerprint,
 )
-from repro.scenarios.spec import StudySpec
+from repro.scenarios.spec import SpecNode, StudySpec
+from repro.store.codec import decode_result, encode_result
 
 
 @dataclass(frozen=True)
@@ -342,6 +345,107 @@ class TestResultStore:
             checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
         )
         assert resumed == first
+
+
+# ====================================================== engine result types
+
+#: A small runnable spec per registered algorithm (one-shot workloads take
+#: exactly one trial).
+_ALGORITHM_SPECS = {
+    "abe-election": dict(topology={"kind": "uniring", "params": {"n": 8}}),
+    "chang-roberts": dict(topology={"kind": "uniring", "params": {"n": 8}}),
+    "dolev-klawe-rodeh": dict(topology={"kind": "uniring", "params": {"n": 8}}),
+    "franklin": dict(topology={"kind": "biring", "params": {"n": 8}}),
+    "itai-rodeh": dict(topology={"kind": "uniring", "params": {"n": 8}}),
+    "echo-wave": dict(topology={"kind": "grid", "params": {"rows": 2, "cols": 3}}),
+    "flooding-wave": dict(topology={"kind": "grid", "params": {"rows": 2, "cols": 3}}),
+    "lossy-channel": dict(trials=1, params={"p": 0.5, "messages": 20}),
+    "synchronizer-battery": dict(
+        trials=1, topology={"kind": "biring", "params": {"n": 6}}, params={"rounds": 3}
+    ),
+}
+
+_CHURN_NODE = SpecNode(
+    "script",
+    {"events": [{"kind": "crash", "params": {"node": "leader", "time": 40.0, "downtime": 40.0}}]},
+)
+
+#: n=16 vector-core seeds (default ``a0``) whose leader used to come back as
+#: ``numpy.int64`` (read from the destination column), which
+#: ``encode_result`` refuses.
+_VECTOR_NUMPY_LEADER_SEEDS = (15, 24)
+
+
+def _assert_plain(value):
+    """Every leaf is a built-in JSON scalar: no numpy scalar subclasses."""
+    if dataclasses.is_dataclass(value):
+        for spec_field in dataclasses.fields(value):
+            _assert_plain(getattr(value, spec_field.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_plain(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _assert_plain(item)
+    else:
+        assert value is None or type(value) in (bool, int, float, str), (
+            f"{type(value).__name__} leaked into a result: {value!r}"
+        )
+
+
+class TestEngineResultsRoundTrip:
+    """Every engine result must survive the store; a refused one is re-run
+    on every warm serve without any report of the drop."""
+
+    def test_every_algorithm_is_covered(self):
+        assert set(_ALGORITHM_SPECS) == set(ALGORITHMS.known())
+
+    @pytest.mark.parametrize("churn", [None, _CHURN_NODE], ids=["static", "churn"])
+    @pytest.mark.parametrize("core", ["object", "vector"])
+    @pytest.mark.parametrize("algorithm", sorted(_ALGORITHM_SPECS))
+    def test_results_round_trip_through_store(self, tmp_path, algorithm, core, churn):
+        fields = dict(trials=3, seed=4, label="roundtrip")
+        fields.update(_ALGORITHM_SPECS[algorithm])
+        spec = ScenarioSpec(algorithm=algorithm, core=core, churn=churn, **fields)
+        try:
+            compile_trial(spec)
+        except ValueError as exc:
+            # An unsupported knob combination must be refused at compile
+            # time, so it never produces a result that could be dropped.
+            assert "does not support" in str(exc) or "object core" in str(exc)
+            return
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            cold = run_scenario(spec, checkpoint=store)
+            for result in cold:
+                _assert_plain(result)
+                assert decode_result(json.loads(json.dumps(encode_result(result)))) == result
+            assert len(store) == len(cold)  # nothing silently skipped
+            misses = store.misses
+            assert run_scenario(spec, checkpoint=store) == cold
+            assert store.misses == misses  # the warm run was pure cache
+
+    @pytest.mark.parametrize("seed", _VECTOR_NUMPY_LEADER_SEEDS)
+    def test_vector_leader_uid_is_plain_int(self, tmp_path, seed):
+        result = run_vector_election(16, seed=seed)
+        assert result.elected
+        assert type(result.leader_uid) is int
+        _assert_plain(result)
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            assert store.record("vector-n16", seed, result)
+            assert store.lookup("vector-n16", [seed]) == {seed: result}
+
+    def test_vector_n16_spec_is_fully_cached(self, tmp_path):
+        # Trial 1 of this spec used to elect a numpy.int64 leader: the cold
+        # run stored 3 of 4 rows and the "warm" run executed a trial again.
+        spec = ScenarioSpec(
+            topology={"kind": "uniring", "params": {"n": 16}},
+            core="vector", trials=4, seed=0, label="roundtrip",
+        )
+        with ResultStore(tmp_path / "results.sqlite") as store:
+            cold = run_scenario(spec, checkpoint=store)
+            assert len(store) == 4
+            assert run_scenario(spec, checkpoint=store) == cold
+            assert store.hits == 4 and store.misses == 4
 
 
 # =================================================================== migration
