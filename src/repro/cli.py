@@ -35,8 +35,8 @@ Installed as the ``abe-repro`` console script.  Eight sub-commands:
     external analysis tooling.
 
 ``abe-repro migrate``
-    One-shot migration of PR 6 JSONL checkpoint journals into a sqlite
-    result store.
+    One-shot migration of older JSONL checkpoint journals into a sqlite
+    result store (the one store ``--checkpoint`` and ``--store`` open).
 
 ``abe-repro list``
     List the available experiments with their claims, plus the registered
@@ -60,9 +60,19 @@ from repro.experiments.runner import add_execution_arguments, execution_from_arg
 __all__ = ["main", "build_parser"]
 
 
-def _report_failures(policy) -> None:
-    """Print the policy's structured trial-failure log to stderr."""
-    if policy is None or not policy.failures:
+def _report_execution(policy) -> None:
+    """Print the ``--checkpoint`` cache line and the policy's structured
+    trial-failure log to stderr."""
+    if policy is None:
+        return
+    store = policy.checkpoint
+    if store is not None:
+        print(
+            f"cache: {store.hits}/{store.hits + store.misses} hit(s), "
+            f"{store.uncacheable} uncacheable ({store.path})",
+            file=sys.stderr,
+        )
+    if not policy.failures:
         return
     print(
         f"warning: {len(policy.failures)} trial(s) failed and were recorded "
@@ -309,7 +319,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     with active_policy(policy):
         result = module.run(**kwargs)
     print(render_experiment(result))
-    _report_failures(policy)
+    _report_execution(policy)
     return 0
 
 
@@ -368,7 +378,7 @@ def _command_scenario(args: argparse.Namespace) -> int:
                 print(render_scenario(point, results))
     except ValueError as error:
         raise SystemExit(str(error)) from None
-    _report_failures(policy)
+    _report_execution(policy)
     return 0
 
 
@@ -397,7 +407,8 @@ def _render_job_report(report) -> str:
     table.add_note(f"metric_mean targets {report.metric!r}")
     table.add_note(
         f"cache: {report.hits}/{lookups} hit(s), "
-        f"{report.trials_executed} trial(s) executed, {report.elapsed:.2f}s"
+        f"{report.trials_executed} trial(s) executed, "
+        f"{report.uncacheable} uncacheable, {report.elapsed:.2f}s"
     )
     if report.duplicate_of is not None:
         table.add_note(f"duplicate of job {report.duplicate_of} (not re-executed)")
@@ -425,9 +436,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     if not args.jobs and args.watch is None:
         raise SystemExit("serve needs spec files to submit and/or --watch DIR")
     workers, adaptive, policy = execution_from_args(args)
-    store = ResultStore(
-        args.store, allow_stale=bool(getattr(args, "allow_stale_cache", False))
-    )
+    try:
+        store = ResultStore(
+            args.store, allow_stale=bool(getattr(args, "allow_stale_cache", False))
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     progress = lambda message: print(message, file=sys.stderr)  # noqa: E731
 
     def submit_file(service, path) -> bool:
@@ -474,7 +488,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                     time.sleep(args.poll)
             except KeyboardInterrupt:
                 print(f"interrupted after {processed} job(s)", file=sys.stderr)
-    _report_failures(policy)
+    _report_execution(policy)
     return exit_code
 
 
@@ -531,11 +545,12 @@ def _command_optimize(args: argparse.Namespace) -> int:
     print()
     print(
         f"cache: {report.hits}/{report.lookups} hit(s), "
-        f"{report.trials_executed} trial(s) executed, {report.elapsed:.2f}s"
+        f"{report.trials_executed} trial(s) executed, "
+        f"{report.uncacheable} uncacheable, {report.elapsed:.2f}s"
     )
     print(f"report: {report_path}")
     print(f"figure: {figure_path}")
-    _report_failures(policy)
+    _report_execution(policy)
     return 0
 
 
@@ -545,7 +560,11 @@ def _command_export_store(args: argparse.Namespace) -> int:
 
     if not os.path.exists(args.store):
         raise SystemExit(f"{args.store}: no such store")
-    with ResultStore(args.store, allow_stale=True) as store:
+    try:
+        store = ResultStore(args.store, allow_stale=True)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+    with store:
         if args.csv == "-":
             count = write_store_csv(store, sys.stdout, all_versions=args.all_versions)
         else:
@@ -566,7 +585,7 @@ def _command_migrate(args: argparse.Namespace) -> int:
     try:
         with ResultStore(args.store) as store:
             report = migrate_journal(args.journal, store, assume_version=assume)
-    except OSError as error:
+    except (OSError, ValueError) as error:
         raise SystemExit(str(error)) from None
     print(report.summary())
     return 0

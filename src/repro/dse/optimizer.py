@@ -103,6 +103,7 @@ class Optimizer:
                 report.groups.append(self._run_group(service, group))
                 report.lookups = self.store.hits + self.store.misses
                 report.hits = self.store.hits
+                report.uncacheable = self.store.uncacheable
         report.trials_executed = report.lookups - report.hits
         report.elapsed = time.perf_counter() - started
         return report

@@ -106,6 +106,7 @@ class SearchReport:
     lookups: int = 0
     hits: int = 0
     trials_executed: int = 0
+    uncacheable: int = 0
     elapsed: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -127,6 +128,7 @@ class SearchReport:
                 "hits": self.hits,
                 "misses": self.lookups - self.hits,
                 "trials_executed": self.trials_executed,
+                "uncacheable": self.uncacheable,
             },
             "timing": {"elapsed_seconds": self.elapsed},
         }

@@ -1,34 +1,30 @@
-"""Parallel Monte-Carlo trial execution.
+"""The trial executor: one :class:`SweepPool`, serial or a supervised fork pool.
 
 Every experiment is a set of *independent* trials: ``run_one(seed)`` is a pure
 function of its derived seed (all simulation randomness flows from it through
 :class:`~repro.sim.rng.RandomSource`), so trials can be fanned out across
-``multiprocessing`` workers without any change to the results.  The runner
-maps the exact same ``derive_seed(base, "trial{i}")`` seed list that the
-serial path uses and preserves input order, so serial and parallel execution
+``multiprocessing`` workers without any change to the results.
+:meth:`SweepPool.map` preserves input order, so serial and parallel execution
 are bit-identical per seed -- asserted by the determinism regression tests.
 
 Implementation notes
 --------------------
-Experiment trial callables are closures (they capture the ring size, delay
-model, ...), which the default pickler cannot ship to workers.  On platforms
-with the ``fork`` start method the runner therefore publishes the callable in
-a module-level slot *before* forking; workers inherit it through the forked
-address space and only the (picklable) seeds and results cross the process
-boundary.  Where ``fork`` is unavailable (e.g. Windows), the runner degrades
-to in-process execution rather than imposing a picklability requirement on
-every experiment.
+The pool's workers outlive any single ``map`` call, so the trial callable
+crosses the process boundary by pickling: use a module-level function, a
+``functools.partial`` over one, or a picklable callable object -- compiled
+scenario trials and :class:`repro.experiments.workloads.ElectionTrial` are
+both.  Where ``fork`` is unavailable (e.g. Windows), the pool degrades to
+in-process execution.
 
-All pool fan-outs funnel through
+Every fan-out funnels through
 :func:`repro.experiments.resilience.supervised_map` over a rebuildable
 :class:`~repro.experiments.resilience.ForkPoolManager`: without an active
-:class:`~repro.experiments.resilience.ExecutionPolicy` that is the historical
-chunked ordered gather (bit-identical results) plus interrupt-safe teardown
--- ``KeyboardInterrupt`` terminates and joins the workers instead of leaking
+:class:`~repro.experiments.resilience.ExecutionPolicy` that is a chunked
+ordered gather (bit-identical results) plus interrupt-safe teardown --
+``KeyboardInterrupt`` terminates and joins the workers instead of leaking
 orphaned forks -- and with a policy it adds per-trial timeouts, retries and
-pool rebuilding.  The Monte-Carlo entry points additionally consult the
-policy's :class:`~repro.experiments.resilience.CheckpointJournal` so resumed
-studies skip completed ``(fingerprint, seed)`` trials.
+pool rebuilding.  The Monte-Carlo loop that drives the pool (seeds, adaptive
+batches, result-store lookups) is :func:`repro.experiments.runner.monte_carlo`.
 """
 
 from __future__ import annotations
@@ -39,18 +35,10 @@ import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Sequence, TypeVar
 
-from repro.experiments.resilience import (
-    ForkPoolManager,
-    checkpointed_trials,
-    resolve_checkpoint,
-    run_trial,
-    supervised_map,
-)
+from repro.experiments.resilience import ForkPoolManager, run_trial, supervised_map
 
 __all__ = [
-    "ParallelTrialRunner",
     "SweepPool",
-    "parallel_map",
     "default_worker_count",
     "fork_available",
     "resolve_worker_count",
@@ -60,14 +48,6 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Slot through which forked workers inherit the (unpicklable) trial callable.
-_WORKER_FN: Optional[Callable[[Any], Any]] = None
-
-
-def _invoke(item: Any) -> Any:
-    """Top-level trampoline executed in workers (must be picklable itself)."""
-    return _WORKER_FN(item)
-
 
 def default_worker_count() -> int:
     """Worker count used for ``workers=None``: one per available CPU."""
@@ -75,7 +55,7 @@ def default_worker_count() -> int:
 
 
 def fork_available() -> bool:
-    """Whether the ``fork`` start method (required for closures) exists."""
+    """Whether the ``fork`` start method (required for the pool) exists."""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -103,236 +83,35 @@ def worker_count_argument(text: str) -> int:
     return value
 
 
-def _adaptive_via(
-    mapper: Optional[Callable],
-    run_one: Callable[[int], Any],
-    trials: int,
-    base_seed: int,
-    label: str,
-    keep: Optional[Callable[[Any], bool]],
-    adaptive: Any,
-    stats_out: Optional[dict] = None,
-    checkpoint: Optional[Any] = None,
-    checkpoint_key: Optional[str] = None,
-) -> List[Any]:
-    """The one adaptive-dispatch forwarding point for every pool flavour."""
-    from repro.experiments.runner import adaptive_monte_carlo  # late: avoids cycle
+class SweepPool:
+    """The trial executor: one process pool shared across a whole sweep.
 
-    return adaptive_monte_carlo(
-        run_one,
-        trials=trials,
-        adaptive=adaptive,
-        base_seed=base_seed,
-        label=label,
-        keep=keep,
-        mapper=mapper,
-        stats_out=stats_out,
-        checkpoint=checkpoint,
-        checkpoint_key=checkpoint_key,
-    )
-
-
-class ParallelTrialRunner:
-    """Fans independent trials across ``multiprocessing`` workers.
+    A single ``fork`` pool stays alive for every parameter point of a sweep
+    (or every job of a study service) and each :meth:`map` ships its tasks
+    to the already-running workers, so pool startup is paid once.  Because
+    the workers outlive any single ``map`` call, the mapped callable must be
+    picklable (see the module notes).
 
     Parameters
     ----------
     workers:
-        Number of worker processes.  ``1`` (the default) runs everything in
-        process -- the exact serial code path, no pool is created.  ``None``
-        means one worker per CPU.
+        Number of worker processes.  ``1`` (the default) never creates a
+        pool and runs everything serially in process; ``None`` means one
+        worker per CPU.
     chunk_size:
-        Trials handed to a worker per dispatch; defaults to an even split
-        into about four chunks per worker, which balances scheduling overhead
-        against tail latency from uneven trial durations.
+        Items handed to a worker per dispatch on the unsupervised path;
+        defaults to an even split into about four chunks per worker, which
+        balances scheduling overhead against tail latency from uneven trial
+        durations.
 
     Notes
     -----
-    Results are returned in input order, so ``run.map(f, seeds)`` equals
+    Results are returned in input order, so ``pool.map(f, seeds)`` equals
     ``[f(s) for s in seeds]`` element for element whenever ``f`` is a pure
     function of its argument -- the property the seed-derivation discipline
-    guarantees for experiment trials.
-    """
-
-    def __init__(self, workers: Optional[int] = 1, chunk_size: Optional[int] = None) -> None:
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.workers = int(workers)
-        self.chunk_size = chunk_size
-
-    # ---------------------------------------------------------------- mapping
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, in input order, possibly in parallel."""
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1 or not fork_available():
-            # Serial fallback honours the same retry/failure contract as the
-            # pool (run_trial is fn(item) verbatim without a policy).
-            return [run_trial(fn, item) for item in items]
-        global _WORKER_FN
-        context = multiprocessing.get_context("fork")
-        processes = min(self.workers, len(items))
-        previous = _WORKER_FN
-        _WORKER_FN = fn
-        # _WORKER_FN stays published for the whole map so a supervised pool
-        # rebuild forks workers that inherit the same callable.
-        pools = ForkPoolManager(lambda: context.Pool(processes=processes))
-        try:
-            return supervised_map(
-                fn,
-                items,
-                task=_invoke,
-                pools=pools,
-                workers=processes,
-                chunk_size=self.chunk_size,
-            )
-        finally:
-            pools.shutdown()
-            _WORKER_FN = previous
-
-    @contextmanager
-    def persistent_mapper(
-        self, fn: Callable[[T], R]
-    ) -> Iterator[Optional[Callable[[Callable[[T], R], Sequence[T]], List[R]]]]:
-        """One long-lived fork pool serving many ``map`` calls over ``fn``.
-
-        :meth:`map` forks (and tears down) a fresh pool per call, which is
-        the right trade for one-shot fan-outs but makes a batched consumer
-        -- adaptive stopping dispatches a small batch per convergence check
-        -- pay the pool startup once per batch.  This context manager
-        publishes ``fn`` once, forks a single pool whose workers inherit it,
-        and yields a ``mapper(fn, items)`` usable any number of times; the
-        mapper rejects any other callable, because only ``fn`` crossed the
-        fork.  Yields ``None`` (caller runs serially) for one worker or
-        where ``fork`` is unavailable.  Result order and content are
-        identical to per-call :meth:`map`.
-        """
-        if self.workers == 1 or not fork_available():
-            yield None
-            return
-        global _WORKER_FN
-        previous = _WORKER_FN
-        _WORKER_FN = fn
-        context = multiprocessing.get_context("fork")
-        pools = ForkPoolManager(lambda: context.Pool(processes=self.workers))
-        pools.get()
-        try:
-
-            def mapper(mapped_fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-                if mapped_fn is not fn:
-                    raise ValueError(
-                        "persistent_mapper serves exactly the callable its "
-                        "workers inherited at fork time"
-                    )
-                # _WORKER_FN is still published here (restored only on block
-                # exit), so supervised rebuilds re-fork with fn inherited.
-                return supervised_map(
-                    fn,
-                    list(items),
-                    task=_invoke,
-                    pools=pools,
-                    workers=self.workers,
-                    chunk_size=self.chunk_size,
-                )
-
-            yield mapper
-        finally:
-            pools.shutdown()
-            _WORKER_FN = previous
-
-    # ------------------------------------------------------------ monte carlo
-
-    def monte_carlo(
-        self,
-        run_one: Callable[[int], T],
-        trials: int,
-        base_seed: int = 0,
-        label: str = "",
-        keep: Optional[Callable[[T], bool]] = None,
-        adaptive: Optional[Any] = None,
-        stats_out: Optional[dict] = None,
-        checkpoint: Optional[Any] = None,
-        checkpoint_key: Optional[str] = None,
-    ) -> List[T]:
-        """Parallel equivalent of :func:`repro.experiments.runner.monte_carlo`.
-
-        Seeds are derived with the identical ``derive_seed(base, "trial{i}")``
-        discipline, and the ``keep`` filter is applied in the parent after the
-        ordered gather, so the returned list is bit-identical to the serial
-        runner's for any worker count.  ``adaptive`` (an
-        :class:`~repro.experiments.runner.AdaptiveStopping`) dispatches whole
-        batches to one long-lived fork pool (:meth:`persistent_mapper`, not a
-        fresh pool per batch) and stops at batch boundaries -- the stopping
-        point is worker-count independent.  ``checkpoint`` (an explicit
-        :class:`~repro.experiments.resilience.CheckpointJournal`, or the
-        ambient policy's) skips already-journaled ``(key, seed)`` trials and
-        journals fresh ones in record batches.
-        """
-        from repro.experiments.runner import trial_seeds  # late: avoids cycle
-
-        if adaptive is not None:
-            with self.persistent_mapper(run_one) as mapper:
-                return _adaptive_via(
-                    mapper,
-                    run_one,
-                    trials,
-                    base_seed,
-                    label,
-                    keep,
-                    adaptive,
-                    stats_out,
-                    checkpoint,
-                    checkpoint_key,
-                )
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: self.map(run_one, block),
-            journal,
-            key,
-            record_batch=max(16, 4 * self.workers),
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], workers: Optional[int] = 1
-) -> List[R]:
-    """One-shot convenience wrapper around :meth:`ParallelTrialRunner.map`."""
-    return ParallelTrialRunner(workers=workers).map(fn, items)
-
-
-class SweepPool:
-    """One process pool shared across every parameter point of a sweep.
-
-    :class:`ParallelTrialRunner` forks a fresh pool per ``map`` call, which is
-    correct for arbitrary closures (they are inherited through the forked
-    address space) but pays the pool startup once per ring size / parameter
-    point.  ``SweepPool`` instead keeps a single ``fork`` pool alive for the
-    whole sweep and ships each point's tasks to the already-running workers.
-
-    The price of reuse is picklability: because workers outlive any single
-    ``map`` call, the callable can no longer be inherited at fork time and
-    must cross the process boundary -- use a module-level function, a
-    ``functools.partial`` over one, or a picklable callable object such as
-    :class:`repro.experiments.workloads.ElectionTrial`.
-
-    Determinism is untouched: :meth:`monte_carlo` derives the exact
-    ``derive_seed(base, "trial{i}")`` seed list the serial path uses, and
-    ``Pool.map`` preserves input order, so results are bit-identical to the
-    serial runner for any worker count.
-
-    The pool is created lazily on the first parallel ``map`` and torn down by
-    :meth:`close` (or the context manager).  ``workers=1`` never creates a
-    pool and runs everything serially in process.
+    guarantees for experiment trials.  The pool is created lazily on the
+    first parallel ``map`` and torn down by :meth:`close` (or the context
+    manager).
     """
 
     def __init__(self, workers: Optional[int] = 1, chunk_size: Optional[int] = None) -> None:
@@ -392,7 +171,12 @@ class SweepPool:
     # ---------------------------------------------------------------- mapping
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, in input order, on the shared pool."""
+        """Apply ``fn`` to every item, in input order, on the shared pool.
+
+        Serial execution (one worker, a single item, or no ``fork``) honours
+        the same retry/failure contract as the pool: without a supervising
+        policy it is ``[fn(item) for item in items]`` verbatim.
+        """
         items = list(items)
         if self.workers == 1 or len(items) <= 1 or not fork_available():
             return [run_trial(fn, item) for item in items]
@@ -405,56 +189,3 @@ class SweepPool:
             workers=self.workers,
             chunk_size=self.chunk_size,
         )
-
-    # ------------------------------------------------------------ monte carlo
-
-    def monte_carlo(
-        self,
-        run_one: Callable[[int], T],
-        trials: int,
-        base_seed: int = 0,
-        label: str = "",
-        keep: Optional[Callable[[T], bool]] = None,
-        adaptive: Optional[Any] = None,
-        stats_out: Optional[dict] = None,
-        checkpoint: Optional[Any] = None,
-        checkpoint_key: Optional[str] = None,
-    ) -> List[T]:
-        """Pool-reusing equivalent of :func:`repro.experiments.runner.monte_carlo`.
-
-        Same seed list, same ordered gather, same post-hoc ``keep`` filter;
-        only the pool lifetime differs, so results are bit-identical to the
-        serial and :class:`ParallelTrialRunner` paths.  ``adaptive`` stops at
-        worker-count-independent batch boundaries, exactly like the serial
-        rule (see :class:`~repro.experiments.runner.AdaptiveStopping`); its
-        batches ride this pool's long-lived workers.  ``checkpoint`` skips
-        and journals ``(key, seed)`` trials exactly like the serial runner.
-        """
-        from repro.experiments.runner import trial_seeds  # late: avoids cycle
-
-        if adaptive is not None:
-            return _adaptive_via(
-                self.map,
-                run_one,
-                trials,
-                base_seed,
-                label,
-                keep,
-                adaptive,
-                stats_out,
-                checkpoint,
-                checkpoint_key,
-            )
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: self.map(run_one, block),
-            journal,
-            key,
-            record_batch=max(16, 4 * self.workers),
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]

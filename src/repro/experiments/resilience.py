@@ -16,11 +16,9 @@ can go wrong in practice:
 Three cooperating pieces answer these failure modes:
 
 :func:`supervised_map`
-    The one ordered fan-out primitive behind
-    :meth:`~repro.experiments.parallel.ParallelTrialRunner.map`,
-    :meth:`~repro.experiments.parallel.ParallelTrialRunner.persistent_mapper`
-    and :meth:`~repro.experiments.parallel.SweepPool.map`.  Without an active
-    :class:`ExecutionPolicy` it is behaviourally the old ``pool.map`` (chunked
+    The one ordered fan-out primitive, behind
+    :meth:`~repro.experiments.parallel.SweepPool.map`.  Without an active
+    :class:`ExecutionPolicy` it is behaviourally ``pool.map`` (chunked
     dispatch, ordered gather, bit-identical results) except that it reacts to
     ``KeyboardInterrupt`` by terminating and joining the worker processes
     instead of leaking orphaned forks.  With a policy it dispatches trials
@@ -31,18 +29,15 @@ Three cooperating pieces answer these failure modes:
     itself keeps failing without progress, and records structured
     :class:`TrialFailure` entries instead of raising mid-study.
 
-:class:`CheckpointJournal`
-    A persistent result store keyed by ``(fingerprint, seed, code_version)``,
-    consulted by every ``monte_carlo`` flavour through
-    :func:`checkpointed_trials`: a resumed study skips completed trials and
-    reproduces the aggregate results bit for bit, because the journal stores
-    the exact trial results (dataclasses round-trip field-for-field through
-    JSON) and the seed discipline makes the remaining trials independent of
-    the ones already done.  The storage layer itself (append-only JSONL and
-    sqlite backends, fingerprint discipline, code-version gating, the
-    ``abe-repro serve`` study service) lives in :mod:`repro.store`; this
-    module re-exports the journal and fingerprint names it introduced in
-    PR 6 so existing imports keep working.
+The ``--checkpoint`` store
+    A :class:`~repro.store.result_store.ResultStore` keyed by
+    ``(spec fingerprint, seed, code_version)``, consulted inside the one
+    Monte-Carlo loop (:func:`repro.experiments.runner.monte_carlo`): a
+    resumed study skips completed trials and reproduces the aggregate
+    results bit for bit, because the store holds the exact trial results
+    (dataclasses round-trip field-for-field through JSON) and the seed
+    discipline makes the remaining trials independent of the ones already
+    done.  The storage layer itself lives in :mod:`repro.store`.
 
 :class:`ExecutionPolicy` / :func:`active_policy`
     The ambient execution contract.  Entry points (``abe-repro experiment``,
@@ -66,25 +61,19 @@ import multiprocessing
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.store.codec import decode_result, encode_result
-from repro.store.fingerprint import callable_fingerprint, spec_fingerprint
-from repro.store.journal import JOURNAL_DISABLED, CheckpointJournal
+# The scenario runtime keys trials through this name (looked up here at call
+# time, so a tracer that wraps it sees every key computed).
+from repro.store.fingerprint import spec_fingerprint
 
 __all__ = [
-    "CheckpointJournal",
-    "JOURNAL_DISABLED",
     "ExecutionPolicy",
     "ForkPoolManager",
     "TrialFailure",
     "active_policy",
-    "callable_fingerprint",
-    "checkpointed_trials",
     "current_policy",
-    "decode_result",
-    "encode_result",
-    "resolve_checkpoint",
+    "current_store",
     "run_trial",
     "spec_fingerprint",
     "supervised_map",
@@ -92,11 +81,6 @@ __all__ = [
 
 #: Sentinel for "no result yet" slots (None is a legal trial result).
 _MISSING = object()
-
-#: Crash-safety granularity when a journal is active and the caller does not
-#: pin one: results are recorded after every block of this many trials, so a
-#: killed study loses at most one block per point.
-DEFAULT_RECORD_BATCH = 16
 
 
 # =============================================================== trial failure
@@ -185,9 +169,10 @@ class ExecutionPolicy:
         trigger degradation; this bound only catches a pool that cannot run
         anything at all (e.g. ``fork`` itself failing repeatedly).
     checkpoint:
-        Optional :class:`CheckpointJournal` consulted by every Monte-Carlo
-        flavour; completed ``(fingerprint, seed)`` trials are skipped and
-        fresh results are journaled as they complete.
+        Optional :class:`~repro.store.result_store.ResultStore` consulted by
+        the Monte-Carlo loop for spec-keyed trials; completed
+        ``(fingerprint, seed)`` trials are skipped and fresh results are
+        recorded as they complete.
     failures:
         Structured :class:`TrialFailure` log, appended to by the supervisor
         (shared across every map the policy supervises).
@@ -198,7 +183,7 @@ class ExecutionPolicy:
     backoff_base: float = 0.25
     backoff_cap: float = 5.0
     max_pool_rebuilds: int = 3
-    checkpoint: Optional["CheckpointJournal"] = None
+    checkpoint: Optional[Any] = None
     failures: List[TrialFailure] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -219,14 +204,21 @@ class ExecutionPolicy:
         return self.trial_timeout is not None or self.retries > 0
 
 
-#: The ambient policy entry points install around a run (None = legacy
-#: behaviour: blocking gather, failures raise, no journal).
+#: The ambient policy entry points install around a run (None = plain
+#: behaviour: blocking gather, failures raise, no store).
 _ACTIVE_POLICY: Optional[ExecutionPolicy] = None
 
 
 def current_policy() -> Optional[ExecutionPolicy]:
     """The ambient :class:`ExecutionPolicy`, or ``None`` outside any."""
     return _ACTIVE_POLICY
+
+
+def current_store(store: Optional[Any] = None) -> Optional[Any]:
+    """``store`` if given, else the ambient policy's ``--checkpoint`` store."""
+    if store is not None or _ACTIVE_POLICY is None:
+        return store
+    return _ACTIVE_POLICY.checkpoint
 
 
 @contextmanager
@@ -245,87 +237,6 @@ def active_policy(policy: Optional[ExecutionPolicy]) -> Iterator[Optional[Execut
         yield policy
     finally:
         _ACTIVE_POLICY = previous
-
-
-# ======================================================== checkpoint resolution
-#
-# The journal/store machinery itself (codec, fingerprints, CheckpointJournal,
-# ResultStore, migration, the serve-mode service) lives in ``repro.store``;
-# the names historically defined here -- spec_fingerprint,
-# callable_fingerprint, encode_result, decode_result, CheckpointJournal --
-# are re-exported above.  What remains here is the execution-side funnel:
-# which store and key a given Monte-Carlo call should consult.
-
-
-def resolve_checkpoint(
-    checkpoint: Optional[CheckpointJournal],
-    checkpoint_key: Any,
-    run_one: Any,
-    base_seed: int,
-    label: str,
-) -> Tuple[Optional[CheckpointJournal], Optional[str]]:
-    """The journal and key a Monte-Carlo call should use, or ``(None, None)``.
-
-    Explicit arguments win; otherwise the ambient policy's journal applies
-    with a :func:`callable_fingerprint` key.  Either piece missing disables
-    journaling for the call (never guesses a key).  Callers that positively
-    know their workload has no canonical fingerprint (``spec_fingerprint``
-    returned ``None``) pass :data:`~repro.store.journal.JOURNAL_DISABLED` as
-    the key, which disables journaling *without* falling back to a callable
-    fingerprint -- the spec layer's refusal is authoritative.
-    """
-    if checkpoint_key is JOURNAL_DISABLED:
-        return None, None
-    journal = checkpoint
-    if journal is None:
-        policy = current_policy()
-        journal = policy.checkpoint if policy is not None else None
-    if journal is None:
-        return None, None
-    key = checkpoint_key
-    if key is None:
-        key = callable_fingerprint(run_one, base_seed, label)
-    if key is None:
-        return None, None
-    return journal, key
-
-
-def checkpointed_trials(
-    seeds: Sequence[Any],
-    execute: Callable[[Sequence[Any]], List[Any]],
-    journal: Optional[CheckpointJournal],
-    key: Optional[str],
-    record_batch: Optional[int] = None,
-) -> List[Any]:
-    """Run ``seeds`` through ``execute``, skipping and journaling via ``journal``.
-
-    The one checkpoint-consulting step shared by every Monte-Carlo flavour:
-    already-completed seeds come straight from the journal, only the missing
-    ones are executed (in blocks of ``record_batch``, journaled as each block
-    completes, so a killed run loses at most one block), and the returned
-    list is in the original seed order -- bit-identical to an uncheckpointed
-    run because trials are pure functions of their seeds.
-    :class:`TrialFailure` placeholders are returned but never journaled, so a
-    resumed run re-attempts them.
-    """
-    seeds = list(seeds)
-    if journal is None or key is None:
-        return execute(seeds) if seeds else []
-    cached = journal.lookup(key, seeds)
-    missing = [seed for seed in seeds if seed not in cached]
-    by_seed: Dict[Any, Any] = dict(cached)
-    if missing:
-        step = record_batch or DEFAULT_RECORD_BATCH
-        for start in range(0, len(missing), step):
-            block = missing[start : start + step]
-            fresh = execute(block)
-            pairs: List[Tuple[int, Any]] = []
-            for seed, result in zip(block, fresh):
-                by_seed[seed] = result
-                if not isinstance(result, TrialFailure):
-                    pairs.append((seed, result))
-            journal.record_many(key, pairs)
-    return [by_seed[seed] for seed in seeds]
 
 
 # ============================================================ pool supervision
@@ -380,19 +291,14 @@ def supervised_map(
     workers: int,
     chunk_size: Optional[int] = None,
     policy: Optional[ExecutionPolicy] = None,
-    task: Optional[Callable[[Any], Any]] = None,
 ) -> List[Any]:
     """Ordered parallel map over a rebuildable pool; the one fan-out primitive.
 
     Parameters
     ----------
     fn:
-        The in-parent trial callable (used directly for degraded serial
-        execution).
-    task:
-        The picklable per-item callable shipped to workers; defaults to
-        ``fn``.  Fork-inheritance callers pass their module-level trampoline
-        here (the closure itself never crosses the process boundary).
+        The picklable per-item callable, shipped to the workers and used
+        directly in the parent for degraded serial execution.
     pools:
         The :class:`ForkPoolManager` owning the worker pool.  The caller
         remains responsible for final ``shutdown()`` of long-lived pools;
@@ -406,17 +312,16 @@ def supervised_map(
     items = list(items)
     if not items:
         return []
-    worker_task = task if task is not None else fn
     if policy is None:
         policy = current_policy()
     if policy is None or not policy.supervised:
-        return _plain_pool_map(items, worker_task, pools, workers, chunk_size)
-    return _resilient_pool_map(fn, items, worker_task, pools, policy)
+        return _plain_pool_map(items, fn, pools, workers, chunk_size)
+    return _resilient_pool_map(fn, items, pools, policy)
 
 
 def _plain_pool_map(
     items: List[Any],
-    worker_task: Callable[[Any], Any],
+    fn: Callable[[Any], Any],
     pools: ForkPoolManager,
     workers: int,
     chunk_size: Optional[int],
@@ -432,7 +337,7 @@ def _plain_pool_map(
     chunk = chunk_size or max(1, len(items) // (workers * 4))
     pool = pools.get()
     handles = [
-        pool.apply_async(_call_chunk, (worker_task, items[start : start + chunk]))
+        pool.apply_async(_call_chunk, (fn, items[start : start + chunk]))
         for start in range(0, len(items), chunk)
     ]
     results: List[Any] = []
@@ -510,7 +415,6 @@ def run_trial(
 def _resilient_pool_map(
     fn: Callable[[Any], Any],
     items: List[Any],
-    worker_task: Callable[[Any], Any],
     pools: ForkPoolManager,
     policy: ExecutionPolicy,
 ) -> List[Any]:
@@ -549,7 +453,7 @@ def _resilient_pool_map(
         try:
             pool = pools.get()
             handles = [
-                (index, pool.apply_async(worker_task, (items[index],)))
+                (index, pool.apply_async(fn, (items[index],)))
                 for index in pending
             ]
         except (KeyboardInterrupt, SystemExit):

@@ -17,30 +17,36 @@ interval on the target metric is tight enough (relative half-width below
 ``ci_tolerance``), bounded by ``min_trials``/``max_trials``.  Because the
 batch boundaries and the derived seed list depend only on the configuration
 -- never on the worker count or on timing -- the executed trial set, the
-stopping point and the returned results are bit-identical for serial,
-:class:`~repro.experiments.parallel.ParallelTrialRunner` and
-:class:`~repro.experiments.parallel.SweepPool` execution.
+stopping point and the returned results are bit-identical for every worker
+count.
+
+One loop
+--------
+:func:`monte_carlo` is the only Monte-Carlo loop.  A fixed trial count is the
+degenerate rule with one batch and no convergence check; every batch is
+executed by one :class:`~repro.experiments.parallel.SweepPool` (serial at one
+worker), and, when the caller names a spec fingerprint as the key, the
+batch's seeds are looked up in and recorded into a
+:class:`~repro.store.result_store.ResultStore` inside the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool
-from repro.experiments.resilience import (
-    CheckpointJournal,
-    ExecutionPolicy,
-    checkpointed_trials,
-    resolve_checkpoint,
-    run_trial,
+from repro.experiments.parallel import (
+    SweepPool,
+    resolve_worker_count,
+    worker_count_argument,
 )
+from repro.experiments.resilience import ExecutionPolicy, TrialFailure, current_store
 from repro.sim.rng import derive_seed
 from repro.stats.confidence import relative_half_width
+from repro.store.result_store import ResultStore
 
 __all__ = [
     "AdaptiveStopping",
-    "adaptive_monte_carlo",
     "adaptive_parameters",
     "add_adaptive_stopping_arguments",
     "add_execution_arguments",
@@ -138,69 +144,6 @@ class AdaptiveStopping:
         )
 
 
-def adaptive_monte_carlo(
-    run_one: Callable[[int], T],
-    trials: int,
-    adaptive: AdaptiveStopping,
-    base_seed: int = 0,
-    label: str = "",
-    keep: Optional[Callable[[T], bool]] = None,
-    mapper: Optional[Callable[[Callable[[int], T], Sequence[int]], List[T]]] = None,
-    stats_out: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
-    checkpoint_key: Optional[str] = None,
-) -> List[T]:
-    """Run trials in batches until the CI on the target metric is tight enough.
-
-    ``mapper`` executes one batch of seeds (``None`` = serial in process;
-    pass :meth:`SweepPool.map` or :meth:`ParallelTrialRunner.map` to fan the
-    batch out -- results and the stopping point are bit-identical either
-    way).  ``stats_out``, when given, receives ``trials_executed`` and
-    ``stopped_early`` for reporting.  ``checkpoint`` (explicit or the ambient
-    policy's journal) is consulted per batch: completed seeds come from the
-    journal, fresh ones are journaled as each batch finishes -- and because
-    the stopping decision depends only on the (identical) per-seed results,
-    a resumed adaptive run converges at the same trial with the same output.
-    """
-    adaptive = adaptive.resolved("messages_total")
-    max_trials = adaptive.max_trials if adaptive.max_trials is not None else trials
-    if max_trials < 1:
-        raise ValueError("max_trials must be >= 1")
-    min_trials = min(adaptive.min_trials, max_trials)
-    metric = adaptive.metric
-    seeds = trial_seeds(base_seed, max_trials, label)
-    journal, journal_key = resolve_checkpoint(
-        checkpoint, checkpoint_key, run_one, base_seed, label
-    )
-    execute = (
-        (lambda block: mapper(run_one, block))
-        if mapper is not None
-        else (lambda block: [run_trial(run_one, s) for s in block])
-    )
-    kept: List[T] = []
-    values: List[float] = []
-    index = 0
-    converged = False
-    while index < max_trials and not converged:
-        upper = min_trials if index < min_trials else min(index + adaptive.batch_size, max_trials)
-        batch = seeds[index:upper]
-        outcomes = checkpointed_trials(batch, execute, journal, journal_key)
-        index = upper
-        for outcome in outcomes:
-            if keep is not None and not keep(outcome):
-                continue
-            kept.append(outcome)
-            value = getattr(outcome, metric)
-            if value is not None:
-                values.append(float(value))
-        if len(values) >= 2:
-            converged = relative_half_width(values, adaptive.confidence) <= adaptive.ci_tolerance
-    if stats_out is not None:
-        stats_out["trials_executed"] = index
-        stats_out["stopped_early"] = converged and index < max_trials
-    return kept
-
-
 def trial_seeds(base_seed: int, trials: int, label: str = "") -> List[int]:
     """Derive ``trials`` independent seeds from ``base_seed``.
 
@@ -278,8 +221,6 @@ def add_execution_arguments(
     drift apart.  ``checkpoint=False`` omits ``--checkpoint``/``--resume``
     for entry points with their own persistent store (``serve``).
     """
-    from repro.experiments.parallel import worker_count_argument  # late: avoids cycle
-
     parser.add_argument(
         "--workers",
         type=worker_count_argument,
@@ -319,16 +260,16 @@ def add_execution_arguments(
             default=None,
             metavar="PATH",
             help=(
-                "journal completed trials to this file (append-only JSONL, or "
-                "a persistent sqlite store for *.sqlite/*.db paths) so a "
-                "killed study can be resumed with --resume"
+                "record completed trials in this sqlite result store so a "
+                "killed study can be resumed with --resume (convert an old "
+                "JSONL journal with `abe-repro migrate`)"
             ),
         )
         parser.add_argument(
             "--resume",
             action="store_true",
             help=(
-                "resume from the --checkpoint journal: completed (fingerprint, "
+                "resume from the --checkpoint store: completed (fingerprint, "
                 "seed) trials are skipped and the aggregate output is "
                 "bit-identical to an uninterrupted run"
             ),
@@ -354,8 +295,6 @@ def execution_from_args(args: Any) -> tuple:
     explicit choice.  The policy (see :func:`execution_policy_from_args`) is
     meant for :func:`repro.experiments.resilience.active_policy`.
     """
-    from repro.experiments.parallel import resolve_worker_count  # late: avoids cycle
-
     workers = None
     if getattr(args, "workers", None) is not None:
         workers = resolve_worker_count(args.workers)
@@ -368,35 +307,31 @@ def execution_policy_from_args(args: Any) -> Optional[ExecutionPolicy]:
 
     ``--trial-timeout`` without an explicit ``--retries`` defaults to two
     retries (a lost worker's trial should be re-run, not just recorded as
-    lost); ``--resume`` requires ``--checkpoint`` to name the journal.
+    lost); ``--resume`` requires ``--checkpoint`` to name the store.
     Without ``--resume`` an existing checkpoint file is replaced by a fresh
-    journal.
+    store.
     """
     timeout = getattr(args, "trial_timeout", None)
     retries = getattr(args, "retries", None)
     checkpoint_path = getattr(args, "checkpoint", None)
     resume = bool(getattr(args, "resume", False))
     if resume and checkpoint_path is None:
-        raise SystemExit("--resume requires --checkpoint (the journal to resume from)")
+        raise SystemExit("--resume requires --checkpoint (the store to resume from)")
     if timeout is None and retries is None and checkpoint_path is None:
         return None
     if retries is None:
         retries = 2 if timeout is not None else 0
-    journal = (
-        CheckpointJournal(
-            checkpoint_path,
-            resume=resume,
-            allow_stale=bool(getattr(args, "allow_stale_cache", False)),
-        )
-        if checkpoint_path is not None
-        else None
-    )
     try:
-        return ExecutionPolicy(
-            trial_timeout=timeout, retries=retries, checkpoint=journal
-        )
+        policy = ExecutionPolicy(trial_timeout=timeout, retries=retries)
+        if checkpoint_path is not None:
+            policy.checkpoint = ResultStore(
+                checkpoint_path,
+                fresh=not resume,
+                allow_stale=bool(getattr(args, "allow_stale_cache", False)),
+            )
     except ValueError as error:
         raise SystemExit(str(error)) from None
+    return policy
 
 
 def adaptive_stopping_from_args(args: Any) -> Optional[AdaptiveStopping]:
@@ -440,15 +375,16 @@ def monte_carlo(
     pool: Optional[SweepPool] = None,
     adaptive: Optional[AdaptiveStopping] = None,
     stats_out: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[CheckpointJournal] = None,
+    checkpoint: Optional[ResultStore] = None,
     checkpoint_key: Optional[str] = None,
 ) -> List[T]:
-    """Run ``run_one(seed)`` for ``trials`` derived seeds and collect results.
+    """Run ``run_one(seed)`` for derived seeds and collect the results.
 
     Parameters
     ----------
     run_one:
-        Callable executing one trial for a given seed.
+        Callable executing one trial for a given seed (picklable when the
+        trials fan out across workers).
     keep:
         Optional filter; results for which it returns ``False`` are dropped
         (used e.g. to exclude non-terminating ablation runs from means while
@@ -460,99 +396,69 @@ def monte_carlo(
         bit-identical for every worker count.
     pool:
         Optional shared :class:`~repro.experiments.parallel.SweepPool`;
-        overrides ``workers`` and reuses the pool's long-lived workers
-        (``run_one`` must then be picklable).  Results stay bit-identical.
+        overrides ``workers`` and reuses the pool's long-lived workers.
     adaptive:
         Optional :class:`AdaptiveStopping`; trials then run in fixed batches
         and stop once the target metric's confidence interval is tight
-        enough.  ``trials`` becomes the default ``max_trials``.  Executed
-        trials and results stay bit-identical for every worker count.
+        enough.  ``trials`` becomes the default ``max_trials``.  Without a
+        rule all ``trials`` seeds form one batch.
     stats_out:
-        Optional dict receiving ``trials_executed``/``stopped_early`` when
-        ``adaptive`` is used.
+        Optional dict receiving ``trials_executed``/``stopped_early``.
     checkpoint / checkpoint_key:
-        Crash-safe resume: an explicit
-        :class:`~repro.experiments.resilience.CheckpointJournal` (or, when
-        ``None``, the ambient execution policy's journal) is consulted for
-        already-completed ``(checkpoint_key, seed)`` trials, and fresh
-        results are journaled as they complete.  The key defaults to a
-        fingerprint of the pickled ``run_one`` plus the seed family, so raw
-        callables checkpoint too; declarative runs pass their spec
-        fingerprint.  Results are bit-identical with or without a journal.
+        Result caching and crash-safe resume.  With a key -- the spec
+        fingerprint of the workload -- every batch's seeds are looked up in
+        the store (``checkpoint``, or the ambient policy's), only the missing
+        ones are executed, in blocks recorded as each completes (a killed
+        run loses at most one block), and :class:`TrialFailure` placeholders
+        are never recorded, so a resume re-attempts them.  Without a key
+        nothing is cached.  Results are bit-identical either way, so a
+        resumed adaptive run stops at the same trial with the same output.
     """
-    if adaptive is not None:
-        if pool is not None:
-            return pool.monte_carlo(
-                run_one,
-                trials=trials,
-                base_seed=base_seed,
-                label=label,
-                keep=keep,
-                adaptive=adaptive,
-                stats_out=stats_out,
-                checkpoint=checkpoint,
-                checkpoint_key=checkpoint_key,
-            )
-        if workers is not None and workers == 1:
-            return adaptive_monte_carlo(
-                run_one,
-                trials=trials,
-                adaptive=adaptive,
-                base_seed=base_seed,
-                label=label,
-                keep=keep,
-                stats_out=stats_out,
-                checkpoint=checkpoint,
-                checkpoint_key=checkpoint_key,
-            )
-        # workers > 1: one persistent fork pool for all convergence batches
-        # (ParallelTrialRunner.monte_carlo uses persistent_mapper), not a
-        # fresh pool per batch.
-        return ParallelTrialRunner(workers=workers).monte_carlo(
-            run_one,
-            trials=trials,
-            base_seed=base_seed,
-            label=label,
-            keep=keep,
-            adaptive=adaptive,
-            stats_out=stats_out,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
-        )
-    if pool is not None:
-        return pool.monte_carlo(
-            run_one,
-            trials=trials,
-            base_seed=base_seed,
-            label=label,
-            keep=keep,
-            checkpoint=checkpoint,
-            checkpoint_key=checkpoint_key,
-        )
-    if workers is not None and workers == 1:
-        journal, key = resolve_checkpoint(
-            checkpoint, checkpoint_key, run_one, base_seed, label
-        )
-        outcomes = checkpointed_trials(
-            trial_seeds(base_seed, trials, label),
-            lambda block: [run_trial(run_one, seed) for seed in block],
-            journal,
-            key,
-            record_batch=1,  # serial: journal after every trial
-        )
-        if keep is None:
-            return outcomes
-        return [outcome for outcome in outcomes if keep(outcome)]
-    runner = ParallelTrialRunner(workers=workers)
-    return runner.monte_carlo(
-        run_one,
-        trials=trials,
-        base_seed=base_seed,
-        label=label,
-        keep=keep,
-        checkpoint=checkpoint,
-        checkpoint_key=checkpoint_key,
-    )
+    if adaptive is None:
+        # A fixed count is the rule with one batch and no convergence check.
+        budget = first = step = trials
+        metric = None
+    else:
+        adaptive = adaptive.resolved("messages_total")
+        budget = adaptive.max_trials if adaptive.max_trials is not None else trials
+        first = min(adaptive.min_trials, budget)
+        step, metric = adaptive.batch_size, adaptive.metric
+    seeds = trial_seeds(base_seed, budget, label)
+    store = current_store(checkpoint) if checkpoint_key is not None else None
+    kept: List[T] = []
+    values: List[float] = []
+    index = 0
+    converged = False
+    with SweepPool.ensure(pool, workers) as shared:
+        # With a store, missing seeds run in blocks recorded as each completes.
+        block = max(16, 4 * shared.workers) if store is not None else budget
+        while index < budget and not converged:
+            batch = seeds[index : first if index < first else min(index + step, budget)]
+            index += len(batch)
+            by_seed = store.lookup(checkpoint_key, batch) if store is not None else {}
+            missing = [seed for seed in batch if seed not in by_seed]
+            for start in range(0, len(missing), block):
+                chunk = missing[start : start + block]
+                fresh = shared.map(run_one, chunk)
+                by_seed.update(zip(chunk, fresh))
+                if store is not None:
+                    store.record_many(
+                        checkpoint_key,
+                        [(s, r) for s, r in zip(chunk, fresh) if not isinstance(r, TrialFailure)],
+                    )
+            for outcome in (by_seed[seed] for seed in batch):
+                if keep is not None and not keep(outcome):
+                    continue
+                kept.append(outcome)
+                value = getattr(outcome, metric) if metric is not None else None
+                if value is not None:
+                    values.append(float(value))
+            if metric is not None and len(values) >= 2:
+                converged = relative_half_width(values, adaptive.confidence) <= adaptive.ci_tolerance
+    if stats_out is not None:
+        stats_out["trials_executed"] = index
+        stats_out["stopped_early"] = converged and index < budget
+    return kept
 
 
 def mean_of_attribute(results: Sequence[Any], attribute: str) -> float:

@@ -154,9 +154,8 @@ class ElectionTrial:
     """Picklable ``run_one`` callable for election trials.
 
     A plain closure over ``run_election`` cannot cross the boundary into a
-    long-lived :class:`~repro.experiments.parallel.SweepPool` worker (only
-    fork-inherited closures work, and those require a fresh pool per point).
-    This class carries the same captured configuration as explicit, picklable
+    long-lived :class:`~repro.experiments.parallel.SweepPool` worker.  This
+    class carries the same captured configuration as explicit, picklable
     state, so one pool can serve every parameter point of a sweep.  Calling it
     is exactly ``run_election(n, a0=..., delay=..., seed=seed, **kwargs)``.
     """
@@ -203,20 +202,13 @@ def election_trials(
     """
     chosen_a0 = a0 if a0 is not None else recommended_a0(n)
     chosen_delay = delay if delay is not None else default_delay()
-    run_one = ElectionTrial(n, chosen_a0, chosen_delay, election_kwargs)
-    label = label or f"n{n}"
-    if adaptive is not None:
-        adaptive = adaptive.resolved("messages_total")
-    if pool is not None:
-        return pool.monte_carlo(
-            run_one, trials=trials, base_seed=base_seed, label=label, adaptive=adaptive
-        )
     return monte_carlo(
-        run_one,
+        ElectionTrial(n, chosen_a0, chosen_delay, election_kwargs),
         trials=trials,
         base_seed=base_seed,
-        label=label,
+        label=label or f"n{n}",
         workers=workers,
+        pool=pool,
         adaptive=adaptive,
     )
 

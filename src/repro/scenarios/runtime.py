@@ -24,7 +24,7 @@ from repro.scenarios.algorithms import ALGORITHMS, AlgorithmEntry
 from repro.scenarios.spec import ScenarioSpec, StudySpec
 
 # NOTE: ``repro.experiments`` imports this module, so the experiment-harness
-# pieces (monte_carlo, SweepPool, AdaptiveStopping) are imported lazily
+# pieces (monte_carlo, SweepPool, the execution policy) are imported lazily
 # inside the entry points to keep the import graph acyclic.
 
 __all__ = ["compile_trial", "run_scenario", "run_study"]
@@ -65,79 +65,45 @@ def run_scenario(
         Overrides the spec's ``stopping`` rule; an unpinned metric resolves
         to the algorithm's default target.
     stats_out:
-        Receives ``trials_executed``/``stopped_early`` under adaptive
-        stopping.
+        Receives ``trials_executed``/``stopped_early``.
     checkpoint:
-        Optional :class:`~repro.experiments.resilience.CheckpointJournal` or
-        :class:`~repro.store.ResultStore` (defaults to the ambient policy's
-        journal).  Trials are keyed by ``(spec fingerprint, seed)`` -- the
+        Optional :class:`~repro.store.ResultStore` (defaults to the ambient
+        policy's).  Trials are keyed by ``(spec fingerprint, seed)`` -- the
         fingerprint is content-derived from the spec minus its
         execution-only fields, so a resumed study with a different worker
-        count still hits the journal and produces bit-identical results.
+        count still hits the store and produces bit-identical results.
         A spec that refuses a canonical fingerprint (an override whose repr
         carries a memory address -- a per-process key that could never hit)
-        runs unjournaled.
+        runs uncached.
     """
-    from repro.experiments.resilience import JOURNAL_DISABLED, spec_fingerprint
+    from repro.experiments.parallel import SweepPool
+    from repro.experiments.resilience import current_store, spec_fingerprint
     from repro.experiments.runner import monte_carlo  # late: avoids cycle
 
     entry: AlgorithmEntry = ALGORITHMS.get(spec.algorithm)
-    run_one = entry.build_trial(spec)
-    fingerprint = spec_fingerprint(spec)
-    if fingerprint is None:
-        # The spec layer's refusal is authoritative: never fall back to a
-        # callable fingerprint for a spec-described workload.
-        fingerprint = JOURNAL_DISABLED
     if entry.one_shot:
         if spec.trials != 1:
             raise ValueError(
                 f"algorithm {spec.algorithm!r} is a one-shot evaluation; "
                 f"use one point per parameter value instead of trials={spec.trials}"
             )
-        return _checkpointed_one_shot(spec, run_one, fingerprint, checkpoint)
+        with SweepPool.ensure(pool, 1) as shared:
+            return _point_map([spec], shared, current_store(checkpoint))[0]
     rule = adaptive if adaptive is not None else spec.stopping
     if rule is not None:
         rule = rule.resolved(entry.metric)
-    if pool is not None:
-        return pool.monte_carlo(
-            run_one,
-            trials=spec.trials,
-            base_seed=spec.seed,
-            label=spec.label,
-            adaptive=rule,
-            stats_out=stats_out,
-            checkpoint=checkpoint,
-            checkpoint_key=fingerprint,
-        )
     worker_count: Optional[int] = spec.workers if workers is None else workers
-    if worker_count == 0:
-        worker_count = None  # monte_carlo's "one per CPU" convention
     return monte_carlo(
-        run_one,
+        entry.build_trial(spec),
         trials=spec.trials,
         base_seed=spec.seed,
         label=spec.label,
-        workers=worker_count,
+        workers=worker_count or None,  # 0 = monte_carlo's "one per CPU"
+        pool=pool,
         adaptive=rule,
         stats_out=stats_out,
         checkpoint=checkpoint,
-        checkpoint_key=fingerprint,
-    )
-
-
-def _checkpointed_one_shot(
-    spec: ScenarioSpec, run_one: Any, fingerprint: Any, checkpoint: Optional[Any]
-) -> List[Any]:
-    """One-shot points consume the raw spec seed; journal them under it."""
-    from repro.experiments.resilience import checkpointed_trials, resolve_checkpoint
-
-    journal, key = resolve_checkpoint(checkpoint, fingerprint, run_one, spec.seed, spec.label)
-    return checkpointed_trials(
-        [spec.seed],
-        lambda block: [run_one(seed) for seed in block],
-        journal,
-        key,
-        record_batch=1,
+        checkpoint_key=spec_fingerprint(spec),
     )
 
 
@@ -161,62 +127,49 @@ def run_study(
     fresh one sized by ``workers``) serves the whole battery, so pool startup
     is paid once per study rather than once per point.  ``adaptive``
     resolves its metric against the study's declared target.  ``checkpoint``
-    (explicit or the ambient policy's journal) keys every trial by its
+    (explicit or the ambient policy's store) keys every trial by its
     point's spec fingerprint, so a killed study resumes exactly where it
     stopped -- across points as well as within one.
     """
     from repro.experiments.parallel import SweepPool  # late: avoids cycle
-    from repro.experiments.resilience import current_policy
+    from repro.experiments.resilience import current_store
 
-    journal = checkpoint
-    if journal is None:
-        policy = current_policy()
-        journal = policy.checkpoint if policy is not None else None
-    rule = adaptive
-    if rule is not None:
-        rule = rule.resolved(study.metric)
+    store = current_store(checkpoint)
+    rule = adaptive.resolved(study.metric) if adaptive is not None else None
     points = list(study.points)
-    entries = [ALGORITHMS.get(point.algorithm) for point in points]
     with SweepPool.ensure(pool, workers) as shared:
-        if all(entry.one_shot for entry in entries):
+        if all(ALGORITHMS.get(point.algorithm).one_shot for point in points):
             # One deterministic evaluation per point: fan the points
             # themselves across the pool (the E4/E5 shape).
-            if journal is None:
-                return [[result] for result in shared.map(_run_one_shot, points)]
-            return _checkpointed_point_map(points, shared, journal)
+            return _point_map(points, shared, store)
         return [
-            run_scenario(point, pool=shared, adaptive=rule, checkpoint=journal)
+            run_scenario(point, pool=shared, adaptive=rule, checkpoint=store)
             for point in points
         ]
 
 
-def _checkpointed_point_map(
-    points: List[ScenarioSpec], shared: Any, journal: Any
-) -> List[List[Any]]:
-    """The one-shot study branch with a journal: run only the missing points.
+def _point_map(points: List[ScenarioSpec], shared: Any, store: Optional[Any]) -> List[List[Any]]:
+    """One-shot points: look each up, fan the missing ones out, record them.
 
-    Each point is keyed by ``(its own fingerprint, its seed)``, looked up
-    before dispatch, and the missing points are fanned out together (one
-    ``map``, preserving the no-journal dispatch shape) then journaled.
-    Failed placeholders are never journaled, so a resume re-attempts them;
-    points whose spec refuses a canonical fingerprint always run and are
-    never journaled.
+    Each point is keyed by ``(its own fingerprint, its raw seed)``; the
+    missing points go to the pool in one ``map``.  Failed placeholders are
+    never recorded, so a resume re-attempts them; points whose spec refuses
+    a canonical fingerprint always run and are never recorded.
     """
     from repro.experiments.resilience import TrialFailure, spec_fingerprint
 
-    keys = [spec_fingerprint(point) for point in points]
+    keys = [spec_fingerprint(point) if store is not None else None for point in points]
     results: List[Any] = [None] * len(points)
     missing: List[int] = []
     for index, (point, key) in enumerate(zip(points, keys)):
-        cached = journal.lookup(key, [point.seed]) if key is not None else {}
+        cached = store.lookup(key, [point.seed]) if key is not None else {}
         if point.seed in cached:
             results[index] = cached[point.seed]
         else:
             missing.append(index)
-    if missing:
-        fresh = shared.map(_run_one_shot, [points[index] for index in missing])
-        for index, result in zip(missing, fresh):
-            results[index] = result
-            if keys[index] is not None and not isinstance(result, TrialFailure):
-                journal.record(keys[index], points[index].seed, result)
+    fresh = shared.map(_run_one_shot, [points[index] for index in missing])
+    for index, result in zip(missing, fresh):
+        results[index] = result
+        if keys[index] is not None and not isinstance(result, TrialFailure):
+            store.record(keys[index], points[index].seed, result)
     return [[result] for result in results]

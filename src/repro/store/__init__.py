@@ -8,8 +8,8 @@ content-addressable key.  This package turns that contract into storage:
 
 :mod:`repro.store.codec`
     ``encode_result`` / ``decode_result``: the exact-float JSON codec for
-    trial results (dataclasses round-trip field for field), shared by every
-    backend.
+    trial results (dataclasses round-trip field for field), shared by the
+    store and the migration tool.
 
 :mod:`repro.store.fingerprint`
     The key discipline.  ``spec_fingerprint`` canonicalizes a spec (dataclass
@@ -21,20 +21,15 @@ content-addressable key.  This package turns that contract into storage:
     mixed into aggregates.
 
 :mod:`repro.store.result_store`
-    :class:`ResultStore`: the sqlite-backed persistent store, keyed by
-    ``(key, seed, code_version)`` with O(1) appends.  It implements the same
-    ``lookup`` / ``record`` / ``record_many`` surface the PR 6 journal
-    exposed, so every Monte-Carlo resume path accepts it unchanged.
-
-:mod:`repro.store.journal`
-    :class:`CheckpointJournal`: the ``--checkpoint`` entry point, retained as
-    a thin adapter that picks its backend from the path suffix -- append-only
-    JSONL by default, the sqlite :class:`ResultStore` for ``*.sqlite`` /
-    ``*.db`` paths.
+    :class:`ResultStore`: the one store, sqlite-backed, keyed by
+    ``(key, seed, code_version)`` with O(1) appends.  ``--checkpoint``,
+    ``--store``, the study service and the design-space search all open
+    one; the Monte-Carlo loop talks to its ``lookup`` / ``record_many``
+    surface.
 
 :mod:`repro.store.migrate`
-    One-shot migration of PR 6 JSONL journals into a :class:`ResultStore`
-    (``abe-repro migrate``).
+    One-shot migration of older JSONL checkpoint journals into a
+    :class:`ResultStore` (``abe-repro migrate``).
 
 :mod:`repro.store.service`
     :class:`StudyService` and the ``abe-repro serve`` job queue: spec
@@ -44,23 +39,13 @@ content-addressable key.  This package turns that contract into storage:
 """
 
 from repro.store.codec import decode_result, encode_result
-from repro.store.fingerprint import (
-    callable_fingerprint,
-    code_version,
-    spec_fingerprint,
-    study_fingerprint,
-)
-from repro.store.journal import JOURNAL_DISABLED, CheckpointJournal, JsonlResultStore
+from repro.store.fingerprint import code_version, spec_fingerprint, study_fingerprint
 from repro.store.migrate import MigrationReport, migrate_journal
 from repro.store.result_store import ResultStore
 
 __all__ = [
-    "CheckpointJournal",
-    "JOURNAL_DISABLED",
-    "JsonlResultStore",
     "MigrationReport",
     "ResultStore",
-    "callable_fingerprint",
     "code_version",
     "decode_result",
     "encode_result",

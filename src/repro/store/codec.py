@@ -1,8 +1,7 @@
 """Exact-round-trip JSON codec for trial results.
 
-Moved verbatim from :mod:`repro.experiments.resilience` (PR 6) so both
-journal backends and the migration tool share one codec; the resilience
-module re-exports both names unchanged.
+The result store encodes with it on record and decodes on lookup; a result
+it rejects is counted as uncacheable by the store and simply re-runs.
 """
 
 from __future__ import annotations

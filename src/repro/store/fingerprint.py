@@ -3,7 +3,7 @@
 A cached trial result is only reusable if its key pins down everything that
 could change the result.  Three components do that here:
 
-* :func:`spec_fingerprint` / :func:`callable_fingerprint` -- *what* ran
+* :func:`spec_fingerprint` -- *what* ran
   (the workload), canonicalized so the same workload hashes identically in
   every process and distinct workloads never collide;
 * the trial seed -- *which* random draw (carried alongside the key, not
@@ -19,12 +19,10 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import re
 from typing import Any, Optional
 
 __all__ = [
-    "callable_fingerprint",
     "code_version",
     "spec_fingerprint",
     "study_fingerprint",
@@ -122,24 +120,6 @@ def study_fingerprint(study: Any) -> Optional[str]:
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def callable_fingerprint(run_one: Any, base_seed: int, label: str) -> Optional[str]:
-    """Journal key for a raw trial callable (no declarative spec available).
-
-    Hashes the pickled callable (configuration travels inside it -- e.g.
-    :class:`~repro.experiments.workloads.ElectionTrial` carries ring size,
-    ``a0`` and the delay model) together with the seed family.  Returns
-    ``None`` -- journaling is skipped, never wrong -- when the callable does
-    not pickle (fork-only closures).
-    """
-    try:
-        blob = pickle.dumps(run_one, protocol=4)
-    except Exception:
-        return None
-    digest = hashlib.sha256(blob)
-    digest.update(repr((base_seed, label)).encode("utf-8"))
-    return digest.hexdigest()
 
 
 #: Cached per process: the goldens cannot change under a running study.

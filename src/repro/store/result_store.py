@@ -5,13 +5,14 @@ The schema is one table::
     results(key TEXT, seed INTEGER, version TEXT, payload TEXT, created_at REAL,
             PRIMARY KEY (key, seed, version))
 
-``key`` is a :func:`~repro.store.fingerprint.spec_fingerprint` or
-:func:`~repro.store.fingerprint.callable_fingerprint`, ``seed`` the derived
-trial seed, ``version`` the :func:`~repro.store.fingerprint.code_version`
+``key`` is a :func:`~repro.store.fingerprint.spec_fingerprint`, ``seed`` the
+derived trial seed, ``version`` the :func:`~repro.store.fingerprint.code_version`
 stamp, ``payload`` the :func:`~repro.store.codec.encode_result` JSON.  The
 primary key makes recording idempotent (``INSERT OR IGNORE``), and each
 ``record_many`` is one transaction over just the new rows -- cost is
-proportional to the batch, never to the store size.
+proportional to the batch, never to the store size.  A result the codec
+cannot encode is not stored but counted in ``uncacheable``, which the
+service, search and CLI reports show.
 
 Lookups are filtered to the current code version; rows recorded under a
 different version are *ignored with a stderr note* (results from different
@@ -51,10 +52,9 @@ def _stale_note(path: str, ignored: int, current: str) -> None:
 class ResultStore:
     """Persistent ``(key, seed, code_version)``-keyed trial-result store.
 
-    Implements the same ``lookup`` / ``record`` / ``record_many`` /
-    ``__len__`` / ``__contains__`` surface as the PR 6 journal, so every
-    Monte-Carlo resume path (``monte_carlo``, ``run_scenario``, ``run_study``,
-    ``SweepPool``) accepts a store wherever it accepted a journal.
+    The one store of the package: ``--checkpoint`` resume, ``--store``
+    caching, :class:`~repro.store.service.StudyService` and the design-space
+    search all use it through ``lookup`` / ``record_many``.
 
     Parameters
     ----------
@@ -69,8 +69,6 @@ class ResultStore:
         rows still win when both exist).  Off by default.
     """
 
-    kind = "sqlite"
-
     def __init__(self, path: Any, fresh: bool = False, allow_stale: bool = False) -> None:
         self.path = str(path)
         self.allow_stale = bool(allow_stale)
@@ -80,20 +78,35 @@ class ResultStore:
         self.misses = 0
         #: Payload bytes appended this process (for the O(1)-append bench).
         self.bytes_written = 0
+        #: Results offered to ``record_many`` that the codec refused.
+        self.uncacheable = 0
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         if fresh and os.path.exists(self.path):
             os.remove(self.path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " key TEXT NOT NULL,"
-            " seed INTEGER NOT NULL,"
-            " version TEXT NOT NULL,"
-            " payload TEXT NOT NULL,"
-            " created_at REAL NOT NULL,"
-            " PRIMARY KEY (key, seed, version))"
-        )
+        try:
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS results ("
+                " key TEXT NOT NULL,"
+                " seed INTEGER NOT NULL,"
+                " version TEXT NOT NULL,"
+                " payload TEXT NOT NULL,"
+                " created_at REAL NOT NULL,"
+                " PRIMARY KEY (key, seed, version))"
+            )
+        except sqlite3.OperationalError:
+            self._conn.close()
+            raise
+        except sqlite3.DatabaseError as error:
+            # Most likely a JSONL checkpoint journal from before the store.
+            self._conn.close()
+            stem, suffix = os.path.splitext(self.path)
+            target = stem + (".migrated.sqlite" if suffix == ".sqlite" else ".sqlite")
+            raise ValueError(
+                f"{self.path} is not a sqlite result store ({error}); adopt a "
+                f"JSONL checkpoint journal with: abe-repro migrate {self.path} --store {target}"
+            ) from None
         self._conn.commit()
         self.stale_ignored = self._count_other_versions()
         if self.stale_ignored and not self.allow_stale:
@@ -182,15 +195,18 @@ class ResultStore:
     def record_many(self, key: str, pairs: Sequence[Tuple[int, Any]]) -> int:
         """Store a batch of ``(seed, result)`` pairs in one transaction.
 
-        Cost is O(batch): one ``INSERT OR IGNORE`` per pair inside a single
-        commit, independent of how many results the store already holds.
+        Returns the rows written.  Cost is O(batch): one ``INSERT OR IGNORE``
+        per pair inside a single commit, independent of how many results the
+        store already holds.  A result the codec refuses is counted in
+        :attr:`uncacheable` (and re-runs next time) instead of being stored.
         """
         rows: List[Tuple[str, int, str, str, float]] = []
         for seed, result in pairs:
             try:
                 payload = json.dumps(encode_result(result), sort_keys=True)
             except TypeError:
-                continue  # unjournalable result: run it again next time
+                self.uncacheable += 1
+                continue
             rows.append((key, int(seed), self.version, payload, time.time()))
         if not rows:
             return 0

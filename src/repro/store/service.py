@@ -5,9 +5,10 @@
 or :class:`~repro.scenarios.spec.ScenarioSpec` JSON documents -- are
 submitted (from files on the command line, or from a watched spool
 directory), deduplicated by :func:`~repro.store.fingerprint.study_fingerprint`,
-and executed point by point against one shared
-:class:`~repro.experiments.parallel.SweepPool` under the PR 6 supervision
-layer (:func:`~repro.experiments.resilience.active_policy`).  Every trial is
+and executed point by point through the one Monte-Carlo loop
+(:func:`~repro.experiments.runner.monte_carlo`) on one shared
+:class:`~repro.experiments.parallel.SweepPool`, under the supervision layer
+(:func:`~repro.experiments.resilience.active_policy`).  Every trial is
 keyed into the service's :class:`~repro.store.result_store.ResultStore`, so
 a re-submitted experiment -- same process or next week -- is a cache hit:
 the second run of any study against a warm store performs zero trial
@@ -118,6 +119,7 @@ class PointReport:
     lookups: int = 0
     hits: int = 0
     executed: int = 0
+    uncacheable: int = 0
     elapsed: float = 0.0
 
     def identity_dict(self) -> Dict[str, Any]:
@@ -159,6 +161,10 @@ class JobReport:
     def trials_executed(self) -> int:
         return sum(point.executed for point in self.points)
 
+    @property
+    def uncacheable(self) -> int:
+        return sum(point.uncacheable for point in self.points)
+
     def to_dict(self) -> Dict[str, Any]:
         lookups = self.lookups
         doc: Dict[str, Any] = {
@@ -178,6 +184,7 @@ class JobReport:
                 "misses": lookups - self.hits,
                 "hit_rate": (self.hits / lookups) if lookups else None,
                 "trials_executed": self.trials_executed,
+                "uncacheable": self.uncacheable,
             },
             "timing": {"elapsed_seconds": self.elapsed},
         }
@@ -203,8 +210,8 @@ class StudyService:
     policy:
         Optional :class:`~repro.experiments.resilience.ExecutionPolicy`
         installed around job execution (timeouts, retries, supervision).
-        The service stores results itself, so ``policy.checkpoint`` is
-        typically ``None``.
+        Every point is handed ``store`` explicitly, so ``policy.checkpoint``
+        plays no part.
     progress:
         ``callable(str)`` receiving incremental one-line progress messages.
     """
@@ -345,12 +352,13 @@ class StudyService:
     def _run_point(
         self, job_id: str, index: int, total: int, point: Any, pool: Any, rule: Any
     ) -> PointReport:
-        hits_before, misses_before = self.store.hits, self.store.misses
+        store = self.store
+        hits_before, misses_before, refused_before = store.hits, store.misses, store.uncacheable
         started = time.perf_counter()
-        results = _runtime.run_scenario(point, pool=pool, adaptive=rule, checkpoint=self.store)
+        results = _runtime.run_scenario(point, pool=pool, adaptive=rule, checkpoint=store)
         elapsed = time.perf_counter() - started
-        hits = self.store.hits - hits_before
-        misses = self.store.misses - misses_before
+        hits = store.hits - hits_before
+        misses = store.misses - misses_before
         fingerprint = _fingerprint.spec_fingerprint(point)
         # With a keyed point every executed trial is a recorded store miss;
         # an unkeyed point (fingerprint refused) never consulted the store,
@@ -367,6 +375,7 @@ class StudyService:
             lookups=hits + misses,
             hits=hits,
             executed=executed,
+            uncacheable=store.uncacheable - refused_before,
             elapsed=elapsed,
         )
         self.progress(

@@ -110,7 +110,7 @@ periodic_params = st.fixed_dictionaries(
 )
 def test_parallel_trial_path_is_bit_identical(params, seed):
     # The declarative path: the same churn spec through the serial runner and
-    # through ParallelTrialRunner workers must agree result-for-result.
+    # through SweepPool workers must agree result-for-result.
     spec = ScenarioSpec(
         algorithm="abe-election",
         topology=SpecNode("uniring", {"n": N}),

@@ -204,6 +204,8 @@ class TestCli:
         assert main(["optimize", search_path, "--out", out_dir]) == 0
         warm = json.load(open(os.path.join(out_dir, "report.json")))
         assert warm["cache"]["trials_executed"] == 0
+        assert report["cache"]["uncacheable"] == warm["cache"]["uncacheable"] == 0
+        assert "0 uncacheable" in capsys.readouterr().out
         assert warm["groups"] == report["groups"]
 
     def test_optimize_rejects_bad_search_files(self, tmp_path):

@@ -3,9 +3,9 @@
 The contract under test (see :class:`repro.experiments.runner.AdaptiveStopping`):
 trials run in fixed batches whose boundaries depend only on the configuration,
 the stopping rule is evaluated only at those boundaries, and the executed
-trial set is therefore bit-identical for serial execution, a
-:class:`~repro.experiments.parallel.ParallelTrialRunner` and a shared
-:class:`~repro.experiments.parallel.SweepPool` -- the property that lets the
+trial set is therefore bit-identical for serial execution, a per-call
+:class:`~repro.experiments.parallel.SweepPool` and a shared one -- the
+property that lets the
 experiment suite adopt sequential stopping without giving up reproducibility.
 """
 
@@ -14,12 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runner import run_election
-from repro.experiments.parallel import ParallelTrialRunner, SweepPool, fork_available
-from repro.experiments.runner import (
-    AdaptiveStopping,
-    adaptive_monte_carlo,
-    monte_carlo,
-)
+from repro.experiments.parallel import SweepPool, fork_available
+from repro.experiments.runner import AdaptiveStopping, monte_carlo
 from repro.experiments.workloads import ElectionTrial, election_trials
 
 
@@ -96,7 +92,7 @@ class TestStoppingRule:
         # on them.  A tiny max_events forces non-elections.
         run_one = ElectionTrial(8, 0.3, None, {"max_events": 50})
         stats = {}
-        results = adaptive_monte_carlo(
+        results = monte_carlo(
             run_one,
             trials=6,
             adaptive=AdaptiveStopping(
@@ -145,14 +141,11 @@ class TestWorkerCountDeterminism:
             pooled = election_trials(12, 48, 9, adaptive=self.RULE, pool=pool)
         assert serial == pooled
 
-    def test_parallel_runner_monte_carlo_entry_point(self):
+    def test_monte_carlo_workers_entry_point(self):
         run_one = _election_run_one()
-        serial = adaptive_monte_carlo(
-            run_one, trials=48, adaptive=self.RULE, base_seed=3
-        )
-        runner = ParallelTrialRunner(workers=4)
-        parallel = runner.monte_carlo(
-            run_one, trials=48, base_seed=3, adaptive=self.RULE
+        serial = monte_carlo(run_one, trials=48, adaptive=self.RULE, base_seed=3)
+        parallel = monte_carlo(
+            run_one, trials=48, base_seed=3, adaptive=self.RULE, workers=4
         )
         assert serial == parallel
 

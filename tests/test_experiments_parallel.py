@@ -14,64 +14,77 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro.experiments.parallel import (
-    ParallelTrialRunner,
-    default_worker_count,
-    fork_available,
-    parallel_map,
-)
+from repro.experiments.parallel import SweepPool, default_worker_count, fork_available
 from repro.experiments.runner import mean_of_attribute, monte_carlo
 from repro.experiments.workloads import election_trials
 
 
-class TestParallelTrialRunner:
+# Module-level trials: picklable, so pool workers receive them.
+def square(x):
+    return x * x
+
+
+def mod5(seed):
+    return seed % 5
+
+
+def mod3(seed):
+    return seed % 3
+
+
+def scramble(seed):
+    return (seed * 7) % 101
+
+
+class TestSweepPoolExecutor:
     def test_map_preserves_order(self):
-        runner = ParallelTrialRunner(workers=4)
-        assert runner.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
+        with SweepPool(workers=4) as pool:
+            assert pool.map(square, range(20)) == [x * x for x in range(20)]
 
     def test_map_with_one_worker_is_serial(self):
-        runner = ParallelTrialRunner(workers=1)
-        assert runner.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        # Serial execution never pickles, so even a closure runs.
+        assert SweepPool(workers=1).map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_workers_none_uses_cpu_count(self):
-        runner = ParallelTrialRunner(workers=None)
-        assert runner.workers == default_worker_count()
+        assert SweepPool(workers=None).workers == default_worker_count()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            ParallelTrialRunner(workers=0)
+            SweepPool(workers=0)
         with pytest.raises(ValueError):
-            ParallelTrialRunner(workers=4, chunk_size=0)
+            SweepPool(workers=4, chunk_size=0)
 
-    def test_closures_cross_the_fork_boundary(self):
+    def test_closures_are_refused_by_a_worker_pool(self):
+        # Workers outlive the map, so the callable must pickle; a closure
+        # fails loudly instead of being inherited through fork.
         if not fork_available():
             pytest.skip("fork start method unavailable")
         captured = {"offset": 100}
-        runner = ParallelTrialRunner(workers=2)
-        assert runner.map(lambda x: x + captured["offset"], [1, 2, 3]) == [101, 102, 103]
+        with SweepPool(workers=2) as pool:
+            with pytest.raises((AttributeError, pickle.PicklingError)):
+                pool.map(lambda x: x + captured["offset"], [1, 2, 3])
 
-    def test_parallel_map_convenience(self):
-        assert parallel_map(str, [1, 2], workers=2) == ["1", "2"]
+    def test_builtin_callables_map(self):
+        with SweepPool(workers=2) as pool:
+            assert pool.map(str, [1, 2]) == ["1", "2"]
 
-    def test_monte_carlo_method_matches_function(self):
-        runner = ParallelTrialRunner(workers=2)
-        via_method = runner.monte_carlo(lambda seed: seed % 5, trials=10, base_seed=3)
-        via_function = monte_carlo(lambda seed: seed % 5, trials=10, base_seed=3)
-        assert via_method == via_function
+    def test_monte_carlo_workers_match_serial(self):
+        via_pool = monte_carlo(mod5, trials=10, base_seed=3, workers=2)
+        via_serial = monte_carlo(mod5, trials=10, base_seed=3)
+        assert via_pool == via_serial
 
 
 class TestMonteCarloWorkers:
     def test_keep_filter_applied_after_parallel_gather(self):
-        serial = monte_carlo(
-            lambda seed: seed % 3, trials=12, base_seed=1, keep=lambda v: v == 0
-        )
+        serial = monte_carlo(mod3, trials=12, base_seed=1, keep=lambda v: v == 0)
         parallel = monte_carlo(
-            lambda seed: seed % 3,
+            mod3,
             trials=12,
             base_seed=1,
             keep=lambda v: v == 0,
@@ -87,10 +100,8 @@ class TestMonteCarloWorkers:
         )
 
     def test_workers_do_not_change_results(self):
-        serial = monte_carlo(lambda seed: (seed * 7) % 101, trials=16, base_seed=9)
-        fanned = monte_carlo(
-            lambda seed: (seed * 7) % 101, trials=16, base_seed=9, workers=4
-        )
+        serial = monte_carlo(scramble, trials=16, base_seed=9)
+        fanned = monte_carlo(scramble, trials=16, base_seed=9, workers=4)
         assert serial == fanned
 
 

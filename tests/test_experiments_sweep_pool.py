@@ -64,13 +64,13 @@ class TestSweepPoolBasics:
     def test_monte_carlo_matches_serial_runner(self):
         serial = monte_carlo(square, trials=10, base_seed=3)
         with SweepPool(workers=2) as pool:
-            pooled = pool.monte_carlo(square, trials=10, base_seed=3)
+            pooled = monte_carlo(square, trials=10, base_seed=3, pool=pool)
         assert pooled == serial
 
     def test_monte_carlo_keep_filter_after_ordered_gather(self):
         with SweepPool(workers=2) as pool:
-            kept = pool.monte_carlo(
-                square, trials=12, base_seed=1, keep=lambda value: value % 2 == 0
+            kept = monte_carlo(
+                square, trials=12, base_seed=1, pool=pool, keep=lambda value: value % 2 == 0
             )
         expected = [v for v in monte_carlo(square, trials=12, base_seed=1) if v % 2 == 0]
         assert kept == expected

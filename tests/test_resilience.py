@@ -9,7 +9,7 @@ Three layers under test:
 * The divergence watchdog -- ``Simulator.run(raise_on_limit=True)`` raises a
   catchable :class:`~repro.sim.engine.SimulationDiverged` for truncated runs,
   reachable from ``run_election`` and declaratively via ``on_budget``.
-* :class:`~repro.experiments.resilience.CheckpointJournal` -- crash-safe
+* Checkpointing through :class:`~repro.store.ResultStore` -- crash-safe
   resume must skip completed ``(key, seed)`` trials and reproduce aggregates
   bit for bit, including through the ``abe-repro scenario`` CLI.
 """
@@ -28,24 +28,21 @@ import pytest
 from repro.core.runner import run_election
 from repro.experiments.parallel import SweepPool, fork_available
 from repro.experiments.resilience import (
-    CheckpointJournal,
     ExecutionPolicy,
     ForkPoolManager,
     TrialFailure,
     active_policy,
-    callable_fingerprint,
-    checkpointed_trials,
     current_policy,
-    decode_result,
-    encode_result,
     spec_fingerprint,
     supervised_map,
 )
-from repro.experiments.runner import adaptive_monte_carlo, monte_carlo, trial_seeds
+from repro.experiments.runner import AdaptiveStopping, monte_carlo, trial_seeds
 from repro.experiments.workloads import ElectionTrial
 from repro.network.delays import ExponentialDelay
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.sim import SimulationDiverged
+from repro.store import ResultStore, migrate_journal
+from repro.store.codec import decode_result, encode_result
 
 VICTIM = 7  # the seed whose first execution misbehaves in the chaos trials
 
@@ -86,6 +83,18 @@ class HangOnce:
                 pass
             time.sleep(60.0)
         return seed + 1
+
+
+@dataclass
+class FailOn:
+    """Raise for one seed, square every other (picklable)."""
+
+    victim: int
+
+    def __call__(self, seed):
+        if seed == self.victim:
+            raise ValueError("poison seed")
+        return seed * seed
 
 
 def _broken_factory():
@@ -330,62 +339,64 @@ class TestResultCodec:
             encode_result({1: "non-string key"})
 
 
-class TestCheckpointJournal:
+class TestCheckpointStore:
     def test_record_and_lookup_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
+        path = tmp_path / "store.sqlite"
         result = run_election(6, seed=1)
-        assert journal.record("key", 123, result)
-        assert not journal.record("key", 123, result)  # idempotent
-        resumed = CheckpointJournal(path, resume=True)
-        assert len(resumed) == 1
-        assert resumed.lookup("key", [123])[123] == result
-        assert resumed.lookup("other-key", [123]) == {}
+        with ResultStore(path, fresh=True) as store:
+            assert store.record("key", 123, result)
+            assert not store.record("key", 123, result)  # idempotent
+        with ResultStore(path) as resumed:
+            assert len(resumed) == 1
+            assert resumed.lookup("key", [123])[123] == result
+            assert resumed.lookup("other-key", [123]) == {}
 
-    def test_fresh_journal_truncates_existing_file(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record("key", 1, 42)
-        fresh = CheckpointJournal(path, resume=False)
-        assert len(fresh) == 0
-        assert CheckpointJournal(path, resume=True).lookup("key", [1]) == {}
+    def test_fresh_store_discards_existing_file(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path) as store:
+            store.record("key", 1, 42)
+        with ResultStore(path, fresh=True) as fresh:
+            assert len(fresh) == 0
+            assert fresh.lookup("key", [1]) == {}
 
-    def test_torn_tail_is_tolerated(self, tmp_path):
+    def test_torn_journal_tail_is_tolerated_by_migration(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, 10)
-        journal.record("key", 2, 20)
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
+            for seed in (1, 2):
+                handle.write(json.dumps({"key": "key", "seed": seed, "result": 10 * seed}) + "\n")
             handle.write('{"key": "key", "seed": 3, "resu')  # torn write
-        resumed = CheckpointJournal(path, resume=True)
-        assert resumed.lookup("key", [1, 2, 3]) == {1: 10, 2: 20}
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            report = migrate_journal(path, store, assume_version=store.version)
+            assert (report.migrated, report.skipped_lines) == (2, 1)
+            assert store.lookup("key", [1, 2, 3]) == {1: 10, 2: 20}
 
-    def test_checkpointed_trials_executes_only_missing_seeds(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        seeds = [10, 11, 12, 13]
-        journal.record_many("key", [(10, 100), (12, 144)])
+    def test_loop_executes_only_missing_seeds(self, tmp_path):
+        seeds = trial_seeds(4, 4)
         executed = []
 
-        def execute(block):
-            executed.extend(block)
-            return [seed * seed for seed in block]
+        def counting(seed):
+            executed.append(seed)
+            return seed % 1000
 
-        results = checkpointed_trials(seeds, execute, journal, "key")
-        assert results == [100, 121, 144, 169]
-        assert executed == [11, 13]  # cached seeds were never re-run
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            store.record_many("key", [(seeds[0], seeds[0] % 1000), (seeds[2], seeds[2] % 1000)])
+            results = monte_carlo(
+                counting, trials=4, base_seed=4, checkpoint=store, checkpoint_key="key"
+            )
+        assert results == [seed % 1000 for seed in seeds]
+        assert executed == [seeds[1], seeds[3]]  # cached seeds were never re-run
 
-    def test_failures_are_returned_but_never_journaled(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        failure = TrialFailure(
-            seed=11, item="11", attempts=1, kind="error", error_type="E", message=""
-        )
-
-        def execute(block):
-            return [failure if seed == 11 else seed for seed in block]
-
-        results = checkpointed_trials([10, 11], execute, journal, "key")
-        assert results == [10, failure]
-        assert ("key", 10) in journal
-        assert ("key", 11) not in journal  # a resume re-attempts it
+    def test_failures_are_returned_but_never_recorded(self, tmp_path):
+        seeds = trial_seeds(4, 3)
+        policy = ExecutionPolicy(retries=1)
+        with ResultStore(tmp_path / "store.sqlite") as store, active_policy(policy):
+            results = monte_carlo(
+                FailOn(seeds[1]), trials=3, base_seed=4, checkpoint=store, checkpoint_key="key"
+            )
+            assert isinstance(results[1], TrialFailure)
+            assert results[0] == seeds[0] ** 2 and results[2] == seeds[2] ** 2
+            assert ("key", seeds[0]) in store
+            assert ("key", seeds[1]) not in store  # a resume re-attempts it
 
 
 class TestFingerprints:
@@ -405,23 +416,26 @@ class TestFingerprints:
         )
         assert spec_fingerprint(spec) == spec_fingerprint(spec)
 
-    def test_callable_fingerprint_for_picklable_and_not(self):
+    def test_monte_carlo_without_a_key_never_caches(self, tmp_path):
+        # Only an explicit spec fingerprint keys the store; a raw callable
+        # is never guessed a key, even with an ambient store installed.
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        key = callable_fingerprint(trial, 0, "label")
-        assert key is not None
-        assert key != callable_fingerprint(trial, 1, "label")
-        unpicklable = lambda seed: seed  # noqa: E731 - deliberately a closure
-        assert callable_fingerprint(unpicklable, 0, "label") is None
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            with active_policy(ExecutionPolicy(checkpoint=store)):
+                monte_carlo(trial, trials=3, base_seed=0)
+            monte_carlo(trial, trials=3, base_seed=0, checkpoint=store)
+            assert len(store) == 0
+            assert store.hits == store.misses == 0
 
 
 class TestMonteCarloResume:
     def test_resumed_monte_carlo_skips_all_completed_trials(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "store.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9, checkpoint=CheckpointJournal(path),
-            checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = monte_carlo(
+                trial, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
+            )
 
         calls = []
 
@@ -429,19 +443,19 @@ class TestMonteCarloResume:
             calls.append(seed)
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = monte_carlo(
-            bomb, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = monte_carlo(
+                bomb, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
+            )
         assert calls == []
         assert resumed == first  # bit-identical aggregates
 
     def test_partial_resume_runs_only_missing_seeds(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
+        path = tmp_path / "store.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
         seeds = trial_seeds(9, 4)
-        journal.record_many("point", [(seeds[0], trial(seeds[0])), (seeds[2], trial(seeds[2]))])
+        with ResultStore(path, fresh=True) as store:
+            store.record_many("point", [(seeds[0], trial(seeds[0])), (seeds[2], trial(seeds[2]))])
 
         executed = []
 
@@ -449,53 +463,80 @@ class TestMonteCarloResume:
             executed.append(seed)
             return trial(seed)
 
-        results = monte_carlo(
-            counting, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            results = monte_carlo(
+                counting, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
+            )
         assert sorted(executed) == sorted([seeds[1], seeds[3]])
         assert results == [trial(seed) for seed in seeds]
 
     def test_adaptive_monte_carlo_resumes_bit_identically(self, tmp_path):
-        from repro.experiments.runner import AdaptiveStopping
-
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "store.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
         rule = AdaptiveStopping(
             ci_tolerance=0.5, min_trials=2, batch_size=2, metric="messages_total"
         )
-        first = adaptive_monte_carlo(
-            trial, trials=6, adaptive=rule, base_seed=9,
-            checkpoint=CheckpointJournal(path), checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = monte_carlo(
+                trial, trials=6, adaptive=rule, base_seed=9,
+                checkpoint=store, checkpoint_key="point",
+            )
         calls = []
 
         def bomb(seed):
             calls.append(seed)
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = adaptive_monte_carlo(
-            bomb, trials=6, adaptive=rule, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = monte_carlo(
+                bomb, trials=6, adaptive=rule, base_seed=9,
+                checkpoint=store, checkpoint_key="point",
+            )
         assert calls == []
         assert resumed == first
 
-    def test_pooled_resume_matches_serial_journal(self, tmp_path):
+    def test_pooled_resume_matches_serial_store(self, tmp_path):
         if not fork_available():
             pytest.skip("fork start method unavailable")
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "store.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        serial = monte_carlo(
-            trial, trials=4, base_seed=9, checkpoint=CheckpointJournal(path),
-            checkpoint_key="point",
-        )
-        with SweepPool(workers=2) as pool:
-            pooled = pool.monte_carlo(
-                trial, trials=4, base_seed=9,
-                checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
+        with ResultStore(path, fresh=True) as store:
+            serial = monte_carlo(
+                trial, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
             )
+        with SweepPool(workers=2) as pool, ResultStore(path) as store:
+            pooled = monte_carlo(
+                trial, trials=4, base_seed=9, pool=pool,
+                checkpoint=store, checkpoint_key="point",
+            )
+            assert store.hits == 4
         assert pooled == serial
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_missing_seeds_dispatch_in_blocks_of_16_at_two_workers(
+        self, tmp_path, monkeypatch, adaptive
+    ):
+        sizes = []
+        original = SweepPool.map
+
+        def spy(self, fn, items):
+            items = list(items)
+            sizes.append(len(items))
+            return original(self, fn, items)
+
+        monkeypatch.setattr(SweepPool, "map", spy)
+        rule = (
+            AdaptiveStopping(ci_tolerance=1e-12, min_trials=40, metric="real")
+            if adaptive
+            else None
+        )
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            results = monte_carlo(
+                float, trials=40, base_seed=1, workers=2, adaptive=rule,
+                checkpoint=store, checkpoint_key="point",
+            )
+            assert len(store) == len(results) == 40
+        assert sizes == [16, 16, 8]
 
 
 class TestScenarioCheckpointing:
@@ -509,22 +550,24 @@ class TestScenarioCheckpointing:
         )
 
     def test_run_scenario_resumes_bit_identically(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        first = run_scenario(self._spec(), workers=1, checkpoint=CheckpointJournal(path))
-        assert len(CheckpointJournal(path, resume=True)) == 3
-        resumed = run_scenario(
-            self._spec(), workers=1, checkpoint=CheckpointJournal(path, resume=True)
-        )
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            first = run_scenario(self._spec(), workers=1, checkpoint=store)
+        with ResultStore(path) as store:
+            assert len(store) == 3
+            resumed = run_scenario(self._spec(), workers=1, checkpoint=store)
+            assert store.hits == 3
         assert resumed == first
 
-    def test_ambient_policy_journal_is_consulted(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        policy = ExecutionPolicy(checkpoint=CheckpointJournal(path))
-        with active_policy(policy):
-            first = run_scenario(self._spec(), workers=1)
-        resume_policy = ExecutionPolicy(checkpoint=CheckpointJournal(path, resume=True))
-        with active_policy(resume_policy):
-            resumed = run_scenario(self._spec(), workers=1)
+    def test_ambient_policy_store_is_consulted(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        with ResultStore(path, fresh=True) as store:
+            with active_policy(ExecutionPolicy(checkpoint=store)):
+                first = run_scenario(self._spec(), workers=1)
+        with ResultStore(path) as store:
+            with active_policy(ExecutionPolicy(checkpoint=store)):
+                resumed = run_scenario(self._spec(), workers=1)
+            assert store.hits == 3
         assert resumed == first
 
 
@@ -537,12 +580,12 @@ class TestCLIResilienceFlags:
                 "experiment", "e4",
                 "--trial-timeout", "30",
                 "--retries", "1",
-                "--checkpoint", "journal.jsonl",
+                "--checkpoint", "run.sqlite",
             ]
         )
         assert args.trial_timeout == 30.0
         assert args.retries == 1
-        assert args.checkpoint == "journal.jsonl"
+        assert args.checkpoint == "run.sqlite"
         assert args.resume is False
 
     def test_resume_without_checkpoint_rejected(self, tmp_path):
@@ -565,14 +608,31 @@ class TestCLIResilienceFlags:
             "trials": 2,
             "label": "cli-resume",
         }))
-        journal_path = tmp_path / "journal.jsonl"
+        store_path = tmp_path / "run.sqlite"
 
-        assert main(["scenario", str(spec_path), "--checkpoint", str(journal_path)]) == 0
+        assert main(["scenario", str(spec_path), "--checkpoint", str(store_path)]) == 0
         first = capsys.readouterr().out
-        assert len(CheckpointJournal(journal_path, resume=True)) == 2
+        with ResultStore(store_path) as store:
+            assert len(store) == 2
 
         assert main([
-            "scenario", str(spec_path), "--checkpoint", str(journal_path), "--resume"
+            "scenario", str(spec_path), "--checkpoint", str(store_path), "--resume"
         ]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed == first  # byte-identical report from the journal
+        resumed = capsys.readouterr()
+        assert resumed.out == first  # byte-identical report from the store
+        assert "cache: 2/2 hit(s), 0 uncacheable" in resumed.err
+
+    def test_resume_from_a_jsonl_journal_names_the_migrate_command(self, tmp_path):
+        from repro.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"algorithm": "abe-election", "trials": 2}))
+        journal = tmp_path / "study.jsonl"
+        journal.write_text(
+            json.dumps({"key": "k", "result": {"m": 1.0}, "seed": 1, "version": "v"}) + "\n"
+        )
+        with pytest.raises(SystemExit) as raised:
+            main(["scenario", str(spec_path), "--checkpoint", str(journal), "--resume"])
+        message = str(raised.value)
+        assert "is not a sqlite result store" in message
+        assert f"abe-repro migrate {journal} --store {tmp_path / 'study.sqlite'}" in message

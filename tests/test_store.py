@@ -12,12 +12,13 @@ lacked:
   ``code_version`` are ignored (with a stderr note) so a behaviour-changing
   upgrade forces re-runs instead of mixing stale results into aggregates;
   ``allow_stale`` is the explicit escape hatch.
-* **True O(N) journaling** -- ``record``/``record_many`` append exactly the
-  new lines (no whole-file rewrite), so journaling N trials writes O(N)
-  total bytes.
-* **Load robustness + migration** -- torn tails, duplicate ``(key, seed)``
-  lines and foreign lines mid-file are tolerated line by line, and a JSONL
-  journal migrated into sqlite resumes byte-identically.
+* **O(1) appends, loud refusals** -- ``record``/``record_many`` cost is
+  proportional to the batch, never to the store size, and a result the codec
+  refuses is counted in ``uncacheable`` instead of vanishing silently.
+* **Migration robustness** -- torn tails, duplicate ``(key, seed)`` lines and
+  foreign lines mid-file of an old JSONL journal are tolerated line by line,
+  a migrated journal resumes byte-identically, and opening a journal as a
+  store fails with the migrate command instead of a raw sqlite error.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import pytest
 
 import repro.store.fingerprint as fingerprint_module
-from repro.experiments.resilience import CheckpointJournal
 from repro.experiments.runner import monte_carlo, trial_seeds
 from repro.experiments.workloads import ElectionTrial
 from repro.network.delays import ExponentialDelay
@@ -38,7 +38,6 @@ from repro.core.vector_core import run_vector_election
 from repro.scenarios import ALGORITHMS, ScenarioSpec, run_scenario
 from repro.scenarios.runtime import compile_trial
 from repro.store import (
-    JsonlResultStore,
     ResultStore,
     code_version,
     migrate_journal,
@@ -102,10 +101,10 @@ class TestSpecFingerprint:
             params={"delay": AddressDelay(mean=1.0)},
         )
         assert spec_fingerprint(spec) is None
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        results = run_scenario(spec, checkpoint=journal)
-        assert len(results) == 2  # the scenario still runs...
-        assert len(journal) == 0  # ...but nothing is cached under a bad key
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            results = run_scenario(spec, checkpoint=store)
+            assert len(results) == 2  # the scenario still runs...
+            assert len(store) == 0  # ...but nothing is cached under a bad key
 
     def test_study_fingerprint_keys_metric_and_points(self):
         points = (ScenarioSpec(trials=2, label="a"), ScenarioSpec(trials=3, label="b"))
@@ -142,61 +141,75 @@ class TestCodeVersion:
 # ============================================================= version gating
 
 
-@pytest.mark.parametrize("filename", ["journal.jsonl", "store.sqlite"])
+def _seed_entry(path, source, key, seed, result):
+    """Put one current-version row into the store at ``path``: recorded
+    directly, or migrated from a versioned JSONL journal line."""
+    with ResultStore(path) as store:
+        if source == "recorded":
+            store.record(key, seed, result)
+            return
+        journal = str(path) + ".jsonl"
+        with open(journal, "w", encoding="utf-8") as handle:
+            line = {"key": key, "seed": seed, "result": encode_result(result)}
+            handle.write(json.dumps(dict(line, version=store.version)) + "\n")
+        migrate_journal(journal, store)
+
+
+@pytest.mark.parametrize("source", ["migrated", "recorded"])
 class TestVersionGating:
-    def test_version_bump_forces_reruns(self, tmp_path, monkeypatch, capsys, filename):
-        path = tmp_path / filename
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, {"metric": 1.5})
-        assert journal.lookup("key", [1]) == {1: {"metric": 1.5}}
+    def test_version_bump_forces_reruns(self, tmp_path, monkeypatch, capsys, source):
+        path = tmp_path / "store.sqlite"
+        _seed_entry(path, source, "key", 1, {"metric": 1.5})
+        with ResultStore(path) as store:
+            assert store.lookup("key", [1]) == {1: {"metric": 1.5}}
 
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        upgraded = CheckpointJournal(path, resume=True)
+        upgraded = ResultStore(path)
         capsys.readouterr()  # drop load-time output; the note is checked below
         assert upgraded.lookup("key", [1]) == {}  # stale entry ignored -> re-run
         assert ("key", 1) not in upgraded
         assert upgraded.stale_ignored == 1
 
-    def test_stale_entries_are_noted_on_stderr(self, tmp_path, monkeypatch, capsys, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_stale_entries_are_noted_on_stderr(self, tmp_path, monkeypatch, capsys, source):
+        path = tmp_path / "store.sqlite"
+        _seed_entry(path, source, "key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        CheckpointJournal(path, resume=True)
+        ResultStore(path).close()
         err = capsys.readouterr().err
         assert "different code version" in err
         assert "--allow-stale-cache" in err
 
-    def test_allow_stale_escape_hatch_serves_old_entries(self, tmp_path, monkeypatch, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_allow_stale_escape_hatch_serves_old_entries(self, tmp_path, monkeypatch, source):
+        path = tmp_path / "store.sqlite"
+        _seed_entry(path, source, "key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        stale_ok = CheckpointJournal(path, resume=True, allow_stale=True)
-        assert stale_ok.lookup("key", [1]) == {1: {"metric": 1.5}}
+        with ResultStore(path, allow_stale=True) as stale_ok:
+            assert stale_ok.lookup("key", [1]) == {1: {"metric": 1.5}}
 
-    def test_rerun_re_records_under_the_current_version(self, tmp_path, monkeypatch, filename):
-        path = tmp_path / filename
-        CheckpointJournal(path).record("key", 1, {"metric": 1.5})
+    def test_rerun_re_records_under_the_current_version(self, tmp_path, monkeypatch, source):
+        path = tmp_path / "store.sqlite"
+        _seed_entry(path, source, "key", 1, {"metric": 1.5})
         monkeypatch.setattr(
             fingerprint_module, "code_version", lambda: "99.0.0+gdeadbeefdead"
         )
-        upgraded = CheckpointJournal(path, resume=True)
-        assert upgraded.record("key", 1, {"metric": 2.5})  # the forced re-run
-        fresh = CheckpointJournal(path, resume=True)
-        assert fresh.lookup("key", [1]) == {1: {"metric": 2.5}}
+        with ResultStore(path) as upgraded:
+            assert upgraded.record("key", 1, {"metric": 2.5})  # the forced re-run
+        with ResultStore(path) as fresh:
+            assert fresh.lookup("key", [1]) == {1: {"metric": 2.5}}
 
 
 class TestAllowStaleCLIWiring:
-    def test_flag_threads_into_the_policy_journal(self, tmp_path):
+    def test_flag_threads_into_the_policy_store(self, tmp_path):
         from repro.cli import build_parser
         from repro.experiments.runner import execution_policy_from_args
 
-        path = tmp_path / "journal.jsonl"
+        path = tmp_path / "run.sqlite"
         args = build_parser().parse_args(
             ["scenario", "spec.json", "--checkpoint", str(path), "--allow-stale-cache"]
         )
@@ -208,94 +221,91 @@ class TestAllowStaleCLIWiring:
         assert execution_policy_from_args(args).checkpoint.allow_stale is False
 
 
-# ============================================================== append-only IO
+# ================================================================ O(1) appends
 
 
-class TestAppendOnlyJournal:
-    def test_records_never_rewrite_the_file(self, tmp_path, monkeypatch):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-
-        def forbid(*args, **kwargs):
-            raise AssertionError("record must append, not rewrite the whole file")
-
-        # The PR 6 implementation funnelled every record through a tmp-file
-        # rewrite + os.replace; append-only recording never needs either.
-        monkeypatch.setattr(os, "replace", forbid)
+class TestAppendCost:
+    def test_record_cost_is_independent_of_store_size(self, tmp_path):
         deltas = []
-        size = 0
-        for seed in range(48):
-            journal.record("key", seed, {"metric": float(seed)})
-            new_size = os.path.getsize(journal.path)
-            deltas.append(new_size - size)
-            size = new_size
-        # O(N) total bytes: the file grew by exactly the appended lines...
-        assert journal.bytes_written == size
-        # ...and each record's cost is O(1) -- independent of journal length
-        # (under the old rewrite scheme the last delta would be ~48x the
-        # first's write volume).
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            for seed in range(48):
+                before = store.bytes_written
+                store.record("key", seed, {"metric": float(seed)})
+                deltas.append(store.bytes_written - before)
+        # Each record writes its own payload only -- the pre-store journal
+        # rewrote the whole file, so its last write was ~48x its first.
         assert max(deltas) <= 2 * min(deltas)
 
-    def test_record_many_appends_one_batch(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        pairs = [(seed, {"metric": float(seed)}) for seed in range(10)]
-        assert journal.record_many("key", pairs) == 10
-        assert journal.record_many("key", pairs) == 0  # idempotent
-        with open(journal.path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        assert len(lines) == 10
-        assert all(json.loads(line)["version"] == code_version() for line in lines)
+    def test_record_many_writes_one_batch(self, tmp_path):
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            pairs = [(seed, {"metric": float(seed)}) for seed in range(10)]
+            assert store.record_many("key", pairs) == 10
+            assert store.record_many("key", pairs) == 0  # idempotent
+            assert store.counts_by_version() == {code_version(): 10}
 
-    def test_fresh_start_truncates(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record("key", 1, {"metric": 1.0})
-        fresh = CheckpointJournal(path)  # resume=False
-        assert len(fresh) == 0
-        assert os.path.getsize(path) == 0
+    def test_unencodable_result_is_counted_not_stored(self, tmp_path):
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            assert store.record_many("key", [(1, {"metric": object()})]) == 0
+            assert store.uncacheable == 1
+            assert store.record_many("key", [(2, {"metric": 2.0})]) == 1
+            assert store.uncacheable == 1
+            assert len(store) == 1
+
+    def test_fresh_start_replaces_any_file(self, tmp_path):
+        # --checkpoint without --resume: whatever sat at the path (here an
+        # old JSONL journal) is replaced by an empty store.
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"key": "key", "seed": 1, "result": 1}\n')
+        with ResultStore(path, fresh=True) as fresh:
+            assert len(fresh) == 0
+            assert fresh.record("key", 1, 1)
 
 
-class TestJournalLoadEdgeCases:
-    def _lines(self, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.readlines()
+class TestJournalMigrationEdgeCases:
+    def _write(self, path, *lines):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+
+    def _line(self, seed, value, key="key"):
+        record = {"key": key, "seed": seed, "result": {"m": value}, "version": code_version()}
+        return json.dumps(record) + "\n"
 
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record_many("key", [(1, {"m": 1.0}), (2, {"m": 2.0})])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "key", "seed": 3, "result"')  # crash mid-append
-        resumed = CheckpointJournal(path, resume=True)
-        assert resumed.lookup("key", [1, 2, 3]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
-        assert resumed.backend.skipped_lines == 1
+        self._write(
+            path,
+            self._line(1, 1.0),
+            self._line(2, 2.0),
+            '{"key": "key", "seed": 3, "result"',  # crash mid-append
+        )
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            report = migrate_journal(path, store)
+            assert store.lookup("key", [1, 2, 3]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
+        assert (report.migrated, report.skipped_lines) == (2, 1)
 
     def test_foreign_line_mid_file_loses_only_itself(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("key", 1, {"m": 1.0})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("-- operator scribble, not JSON --\n")
-            handle.write(json.dumps({"unrelated": "document"}) + "\n")
-        CheckpointJournal(path, resume=True).record("key", 2, {"m": 2.0})
-        resumed = CheckpointJournal(path, resume=True)
-        # Entries on *both* sides of the damage survive (the PR 6 loader
-        # stopped at the first bad line, silently dropping everything after).
-        assert resumed.lookup("key", [1, 2]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
-        assert resumed.backend.skipped_lines == 2
+        self._write(
+            path,
+            self._line(1, 1.0),
+            "-- operator scribble, not JSON --\n",
+            json.dumps({"unrelated": "document"}) + "\n",
+            self._line(2, 2.0),
+        )
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            report = migrate_journal(path, store)
+            # Entries on *both* sides of the damage survive.
+            assert store.lookup("key", [1, 2]) == {1: {"m": 1.0}, 2: {"m": 2.0}}
+        assert report.skipped_lines == 2
 
-    def test_duplicate_key_seed_lines_last_wins(self, tmp_path):
+    def test_duplicate_key_seed_lines_first_wins(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        version = code_version()
-        with open(path, "w", encoding="utf-8") as handle:
-            for value in (1.0, 2.0, 3.0):
-                handle.write(
-                    json.dumps(
-                        {"key": "key", "seed": 7, "result": {"m": value}, "version": version}
-                    )
-                    + "\n"
-                )
-        resumed = CheckpointJournal(path, resume=True)
-        assert len(resumed) == 1
-        assert resumed.lookup("key", [7]) == {7: {"m": 3.0}}
+        self._write(path, *(self._line(7, value) for value in (1.0, 2.0, 3.0)))
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            report = migrate_journal(path, store)
+            assert len(store) == 1
+            assert store.lookup("key", [7]) == {7: {"m": 1.0}}
+        assert (report.migrated, report.duplicates) == (1, 2)
 
 
 # ================================================================ sqlite store
@@ -323,27 +333,32 @@ class TestResultStore:
         with ResultStore(path, fresh=True) as fresh:
             assert len(fresh) == 0
 
-    def test_checkpoint_journal_dispatches_on_suffix(self, tmp_path):
-        assert CheckpointJournal(tmp_path / "a.jsonl").kind == "jsonl"
-        assert CheckpointJournal(tmp_path / "b.sqlite").kind == "sqlite"
-        assert CheckpointJournal(tmp_path / "c.db").kind == "sqlite"
-        assert isinstance(CheckpointJournal(tmp_path / "d.sqlite3").backend, ResultStore)
+    def test_any_new_path_is_a_sqlite_store_and_a_journal_is_refused(self, tmp_path):
+        for name in ("a.jsonl", "b.sqlite", "c.db", "d.sqlite3"):
+            with ResultStore(tmp_path / name) as store:
+                store.record("key", 1, 1)
+            with ResultStore(tmp_path / name) as reopened:
+                assert reopened.lookup("key", [1]) == {1: 1}
+        journal = tmp_path / "old.sqlite"
+        journal.write_text('{"key": "key", "seed": 1, "result": 1}\n')
+        with pytest.raises(ValueError, match="abe-repro migrate .*old.migrated.sqlite"):
+            ResultStore(journal)
 
     def test_monte_carlo_resumes_from_sqlite_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.sqlite"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path), checkpoint_key="point",
-        )
+        with ResultStore(path, fresh=True) as store:
+            first = monte_carlo(
+                trial, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
+            )
 
         def bomb(seed):
             raise AssertionError("resume must not re-run completed trials")
 
-        resumed = monte_carlo(
-            bomb, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(path, resume=True), checkpoint_key="point",
-        )
+        with ResultStore(path) as store:
+            resumed = monte_carlo(
+                bomb, trials=4, base_seed=9, checkpoint=store, checkpoint_key="point"
+            )
         assert resumed == first
 
 
@@ -455,10 +470,11 @@ class TestMigration:
     def test_jsonl_to_sqlite_resumes_byte_identically(self, tmp_path):
         journal_path = tmp_path / "old.jsonl"
         trial = ElectionTrial(6, 0.3, ExponentialDelay(mean=1.0), {})
-        first = monte_carlo(
-            trial, trials=4, base_seed=9,
-            checkpoint=CheckpointJournal(journal_path), checkpoint_key="point",
-        )
+        first = monte_carlo(trial, trials=4, base_seed=9)
+        with open(journal_path, "w", encoding="utf-8") as handle:
+            for seed, result in zip(trial_seeds(9, 4), first):
+                record = {"key": "point", "seed": seed, "result": encode_result(result)}
+                handle.write(json.dumps(dict(record, version=code_version())) + "\n")
         with ResultStore(tmp_path / "new.sqlite") as store:
             report = migrate_journal(journal_path, store)
             assert report.migrated == 4 and report.duplicates == 0

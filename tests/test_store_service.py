@@ -84,6 +84,7 @@ class TestStudyService:
                 "misses": 4,
                 "hit_rate": 0.0,
                 "trials_executed": 4,
+                "uncacheable": 0,
             }
             assert [point["label"] for point in doc["points"]] == ["n4", "n5"]
             summary = doc["points"][0]["summary"]
@@ -120,6 +121,53 @@ class TestStudyService:
         cold_points = json.dumps([p.identity_dict() for p in cold.points], sort_keys=True)
         warm_points = json.dumps([p.identity_dict() for p in warm.points], sort_keys=True)
         assert cold_points == warm_points  # byte-identical aggregates
+
+    def test_uncacheable_results_are_tallied_in_the_report(self, tmp_path, monkeypatch):
+        import repro.store.result_store as result_store
+
+        def refuse(result):
+            raise TypeError("not encodable")
+
+        monkeypatch.setattr(result_store, "encode_result", refuse)
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            with StudyService(store) as service:
+                service.submit(small_study())
+                (report,) = service.run_pending()
+            assert len(store) == 0 and store.uncacheable == 4
+        doc = report.to_dict()
+        assert doc["cache"]["uncacheable"] == 4
+        assert report.points[0].uncacheable == 2
+        # The byte-compared block never carries cache statistics.
+        assert "uncacheable" not in json.dumps(doc["points"])
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_pooled_trials_all_pass_through_sweep_pool_map(
+        self, tmp_path, monkeypatch, adaptive
+    ):
+        # The traced benchmark wraps exactly these names; a pooled trial that
+        # bypassed SweepPool.map would go unseen by it.
+        from repro.experiments import resilience
+        from repro.experiments.parallel import SweepPool
+        from repro.experiments.runner import AdaptiveStopping
+
+        assert hasattr(resilience, "TrialFailure")
+        assert hasattr(resilience, "spec_fingerprint")
+        original = SweepPool.map
+        mapped = []
+
+        def counting_map(self, fn, items):
+            items = list(items)
+            mapped.extend(items)
+            return original(self, fn, items)
+
+        monkeypatch.setattr(SweepPool, "map", counting_map)
+        rule = AdaptiveStopping(ci_tolerance=1e-9, min_trials=2, batch_size=2) if adaptive else None
+        with ResultStore(tmp_path / "store.sqlite") as store:
+            with StudyService(store, workers=2, adaptive=rule) as service:
+                service.submit(small_study(trials=5))
+                (report,) = service.run_pending()
+            assert len(mapped) == store.misses == report.trials_executed > 0
+            assert len(set(mapped)) == len(mapped)  # no trial ran twice
 
     def test_unfingerprintable_spec_runs_anonymously_unjournaled(self, tmp_path):
         spec = ScenarioSpec(
@@ -172,7 +220,7 @@ class TestServeCLI:
         assert json.dumps(cold["points"], sort_keys=True) == json.dumps(
             warm["points"], sort_keys=True
         )
-        assert "cache: 4/4 hit(s), 0 trial(s) executed" in warm_io.out
+        assert "cache: 4/4 hit(s), 0 trial(s) executed, 0 uncacheable" in warm_io.out
         assert "exported:" in warm_io.out
 
     def test_serve_watch_once_processes_backlog(self, tmp_path, capsys):
@@ -205,12 +253,29 @@ class TestServeCLI:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_serve_refuses_a_jsonl_store_with_the_migrate_command(self, tmp_path):
+        spec_path = tmp_path / "study.json"
+        self._write_spec(spec_path)
+        journal = tmp_path / "old.jsonl"
+        journal.write_text('{"key": "k", "result": 1, "seed": 1, "version": "v"}\n')
+        with pytest.raises(SystemExit) as raised:
+            main(["serve", str(spec_path), "--store", str(journal)])
+        message = str(raised.value)
+        assert f"abe-repro migrate {journal} --store {tmp_path / 'old.sqlite'}" in message
+        assert journal.read_text().startswith('{"key"')  # left untouched
+
     def test_migrate_cli_round_trip(self, tmp_path, capsys):
-        from repro.experiments.resilience import CheckpointJournal
+        from repro.store import code_version
 
         journal = tmp_path / "journal.jsonl"
-        CheckpointJournal(journal).record_many(
-            "key", [(1, {"m": 1.0}), (2, {"m": 2.0})]
+        journal.write_text(
+            "".join(
+                json.dumps(
+                    {"key": "key", "result": {"m": m}, "seed": seed, "version": code_version()}
+                )
+                + "\n"
+                for seed, m in ((1, 1.0), (2, 2.0))
+            )
         )
         store = tmp_path / "store.sqlite"
         assert main(["migrate", str(journal), "--store", str(store)]) == 0
